@@ -3,12 +3,14 @@
  * google-benchmark microbenchmarks of the GETM hardware structures:
  * metadata-table lookups/inserts under varying lock pressure, recency
  * Bloom filter operations, stall-buffer operations, H3 hashing, and the
- * intra-warp conflict-detection table. These measure the *simulator's*
- * throughput (host nanoseconds), complementing the modelled-cycle
- * numbers of fig13_cuckoo_latency.
+ * intra-warp conflict-detection table (per access and at commit). These
+ * measure the *simulator's* throughput (host nanoseconds), complementing
+ * the modelled-cycle numbers of fig13_cuckoo_latency.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "common/h3.hh"
 #include "common/rng.hh"
@@ -116,6 +118,27 @@ BM_IntraWarpCd(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IntraWarpCd);
+
+void
+BM_IntraWarpCdResolveAtCommit(benchmark::State &state)
+{
+    // One full warp at the commit point, each lane holding
+    // state.range(0) reads and half as many writes drawn from a shared
+    // pool, so some lanes lose.
+    const auto per_lane = static_cast<unsigned>(state.range(0));
+    std::array<ThreadTxLog, warpSize> logs;
+    Rng rng(11);
+    for (LaneId lane = 0; lane < warpSize; ++lane) {
+        for (unsigned i = 0; i < per_lane; ++i)
+            logs[lane].addRead(4 * rng.below(1024), 0);
+        for (unsigned i = 0; i < per_lane / 2; ++i)
+            logs[lane].addWrite(4 * rng.below(1024), 1);
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(IntraWarpCd::resolveAtCommit(
+            logs.data(), warpSize, fullMask));
+}
+BENCHMARK(BM_IntraWarpCdResolveAtCommit)->Arg(2)->Arg(8)->Arg(32);
 
 } // namespace
 

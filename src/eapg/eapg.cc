@@ -60,9 +60,16 @@ void
 EapgCoreTm::onBroadcast(const MemMsg &msg)
 {
     if (msg.kind == MsgKind::EapgCommitDone) {
-        remote.erase(msg.txId);
+        for (std::size_t i = 0; i < liveRemote; ++i) {
+            if (remote[i].txId == msg.txId) {
+                // Retire the set; its storage moves past the live range
+                // for reuse.
+                std::swap(remote[i], remote[--liveRemote]);
+                break;
+            }
+        }
         // Retry paused commits whose conflicts may have cleared.
-        std::vector<std::uint32_t> retry;
+        retry.clear();
         retry.swap(paused);
         for (std::uint32_t slot : retry) {
             Warp &warp = core.allWarps()[slot];
@@ -77,9 +84,8 @@ EapgCoreTm::onBroadcast(const MemMsg &msg)
 
     // Conflict-set broadcast: early-abort running (not yet committing)
     // transactions that read a location the writer is committing.
-    auto &write_set = remote[msg.txId];
-    for (const LaneOp &op : msg.ops)
-        write_set.insert(op.addr);
+    RemoteWrites &write_set = remoteFor(msg.txId);
+    write_set.add(msg.ops);
     for (Warp &warp : core.allWarps()) {
         if (!warp.inTx || warp.commitPointFired)
             continue;
@@ -92,7 +98,7 @@ EapgCoreTm::onBroadcast(const MemMsg &msg)
             if (!(warp.stack[txi].mask & (1u << lane)))
                 continue;
             for (const LogEntry &entry : warp.logs[lane].readLog()) {
-                if (write_set.count(entry.addr)) {
+                if (write_set.contains(entry.addr)) {
                     hit |= 1u << lane;
                     if (conflict == invalidAddr)
                         conflict = core.granuleOf(entry.addr);
@@ -124,28 +130,18 @@ EapgCoreTm::onBroadcast(const MemMsg &msg)
 bool
 EapgCoreTm::maybePause(Warp &warp)
 {
+    const auto touches_remote = [this](const std::vector<LogEntry> &log) {
+        for (std::size_t i = 0; i < liveRemote; ++i)
+            for (const LogEntry &entry : log)
+                if (remote[i].contains(entry.addr))
+                    return true;
+        return false;
+    };
     bool conflict = false;
-    for (LaneId lane = 0; lane < warpSize && !conflict; ++lane) {
-        const LaneMask bit = 1u << lane;
-        if (!((warp.wtmValidating | warp.wtmSilent) & bit))
-            continue;
-        for (const auto &[tx_id, write_set] : remote) {
-            for (const LogEntry &entry : warp.logs[lane].readLog())
-                if (write_set.count(entry.addr)) {
-                    conflict = true;
-                    break;
-                }
-            if (conflict)
-                break;
-            for (const LogEntry &entry : warp.logs[lane].writeLog())
-                if (write_set.count(entry.addr)) {
-                    conflict = true;
-                    break;
-                }
-            if (conflict)
-                break;
-        }
-    }
+    for (LaneId lane = 0; lane < warpSize && !conflict; ++lane)
+        if ((warp.wtmValidating | warp.wtmSilent) & (1u << lane))
+            conflict = touches_remote(warp.logs[lane].readLog()) ||
+                       touches_remote(warp.logs[lane].writeLog());
     if (!conflict)
         return false;
     if (std::find(paused.begin(), paused.end(), warp.slot) == paused.end())
@@ -156,10 +152,38 @@ EapgCoreTm::maybePause(Warp &warp)
 }
 
 void
+EapgCoreTm::RemoteWrites::add(const std::vector<LaneOp> &ops)
+{
+    for (const LaneOp &op : ops) {
+        addrs.push_back(op.addr);
+        noteInFilter(op.addr);
+    }
+    std::sort(addrs.begin(), addrs.end());
+    addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+}
+
+EapgCoreTm::RemoteWrites &
+EapgCoreTm::remoteFor(std::uint64_t tx_id)
+{
+    for (std::size_t i = 0; i < liveRemote; ++i)
+        if (remote[i].txId == tx_id)
+            return remote[i];
+    if (liveRemote == remote.size())
+        remote.emplace_back();
+    RemoteWrites &fresh = remote[liveRemote++];
+    fresh.txId = tx_id;
+    fresh.addrs.clear();
+    fresh.filter = {};
+    return fresh;
+}
+
+void
 EapgCoreTm::ckptSave(ckpt::Writer &ar)
 {
     WtmCoreTm::ckptSave(ar);
-    ar(remote, paused);
+    std::vector<RemoteWrites> live(remote.begin(),
+                                   remote.begin() + liveRemote);
+    ar(live, paused);
 }
 
 void
@@ -167,6 +191,7 @@ EapgCoreTm::ckptLoad(ckpt::Reader &ar)
 {
     WtmCoreTm::ckptLoad(ar);
     ar(remote, paused);
+    liveRemote = remote.size();
 }
 
 } // namespace getm

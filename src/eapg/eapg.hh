@@ -21,8 +21,9 @@
 #ifndef GETM_EAPG_EAPG_HH
 #define GETM_EAPG_EAPG_HH
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <array>
+#include <utility>
 #include <vector>
 
 #include "warptm/wtm_core_tm.hh"
@@ -72,11 +73,74 @@ class EapgCoreTm : public WtmCoreTm
     bool maybePause(Warp &warp) override;
 
   private:
-    /** Write sets of remote commits currently in progress. */
-    std::unordered_map<std::uint64_t, std::unordered_set<Addr>> remote;
+    /**
+     * The write set accumulated so far from one remote commit's
+     * signature slices: sorted, de-duplicated words, plus a 256-bit
+     * filter that rejects most non-members before the binary search.
+     */
+    struct RemoteWrites
+    {
+        std::uint64_t txId = 0;
+        std::vector<Addr> addrs;
+        std::array<std::uint64_t, 4> filter{};
+
+        /** The filter word and bit of @p addr (top 8 product bits). */
+        static std::pair<unsigned, std::uint64_t>
+        filterSlot(Addr addr)
+        {
+            const auto bit = static_cast<unsigned>(
+                (static_cast<std::uint64_t>(addr) * 0x9e3779b97f4a7c15ull) >>
+                56);
+            return {bit / 64, std::uint64_t{1} << (bit % 64)};
+        }
+
+        void
+        noteInFilter(Addr addr)
+        {
+            const auto [word, bit] = filterSlot(addr);
+            filter[word] |= bit;
+        }
+
+        bool
+        contains(Addr addr) const
+        {
+            const auto [word, bit] = filterSlot(addr);
+            return (filter[word] & bit) &&
+                   std::binary_search(addrs.begin(), addrs.end(), addr);
+        }
+
+        /** Merge one signature slice into the set. */
+        void add(const std::vector<LaneOp> &ops);
+
+        /** Checkpoint hook: the filter is derived, so rebuilt on load. */
+        template <class Ar>
+        void
+        ckpt(Ar &ar)
+        {
+            ar(txId, addrs);
+            if constexpr (!Ar::saving) {
+                filter = {};
+                for (Addr addr : addrs)
+                    noteInFilter(addr);
+            }
+        }
+    };
+
+    /** The live write set of @p tx_id, created empty if absent. */
+    RemoteWrites &remoteFor(std::uint64_t tx_id);
+
+    /**
+     * Write sets of remote commits currently in progress: entries
+     * [0, liveRemote) are live; the rest are retired sets kept only so
+     * their storage is reused.
+     */
+    std::vector<RemoteWrites> remote;
+    std::size_t liveRemote = 0;
 
     /** Warp slots paused at their commit point. */
     std::vector<std::uint32_t> paused;
+    /** Scratch for the paused slots retried on a commit-done broadcast. */
+    std::vector<std::uint32_t> retry;
 
     // Hot-path stat handles: one add per early abort / pause.
     StatSet::Counter &stEarlyAborts;

@@ -1,6 +1,7 @@
 #include "gpu/mem_partition.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "check/sink.hh"
 #include "common/log.hh"
@@ -58,7 +59,9 @@ MemPartition::tick(Cycle now)
     //    ready cycles (or stage them when the parallel loop diverted
     //    the injection point).
     while (!outQueue.empty() && outQueue.top().when <= now) {
-        Outbound out = outQueue.top();
+        // Moved, not copied: the heap orders by (when, seq), which the
+        // move leaves intact for pop().
+        Outbound out = std::move(const_cast<Outbound &>(outQueue.top()));
         outQueue.pop();
         if (downSendFn) {
             downSendFn(std::move(out.msg), out.when);

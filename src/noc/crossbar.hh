@@ -28,6 +28,7 @@
 #include <functional>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -141,7 +142,9 @@ class Crossbar
     MsgT
     popReady(unsigned dst)
     {
-        Entry top = inbox[dst].top();
+        // Move the message out rather than copy its ops: the heap orders
+        // by (when, seq), which the move leaves intact for pop().
+        Entry top = std::move(const_cast<Entry &>(inbox[dst].top()));
         inbox[dst].pop();
         pending.fetch_sub(1, std::memory_order_relaxed);
         // The popped entry may have been the cached minimum; recompute

@@ -145,6 +145,62 @@ TEST(EapgBehavior, BroadcastsFlowAndMechanismsFire)
               0u);
 }
 
+/**
+ * Each thread increments three words one cache line apart, so every
+ * transaction writes into several partitions and one commit's write set
+ * reaches the cores as several signature slices.
+ */
+Kernel
+spreadIncrementKernel(Addr cells, unsigned n_cells)
+{
+    KernelBuilder kb("spread");
+    const Reg tid(1), i(2), off(3), addr(4), v(5), cond(6);
+    kb.readSpecial(tid, SpecialReg::ThreadId);
+    kb.txBegin();
+    kb.li(i, 0);
+    kb.add(off, tid, i);
+    auto head = kb.newLabel(), done = kb.newLabel();
+    kb.bind(head);
+    kb.remui(addr, off, n_cells);
+    kb.shli(addr, addr, 7); // one word per 128-byte line
+    kb.addi(addr, addr, static_cast<std::int64_t>(cells));
+    kb.load(v, addr);
+    kb.addi(v, v, 1);
+    kb.store(addr, v);
+    kb.addi(off, off, 5);
+    kb.addi(i, i, 1);
+    kb.sltsi(cond, i, 3);
+    kb.bnez(cond, head, done);
+    kb.bind(done);
+    kb.txCommit();
+    kb.exit();
+    return kb.build();
+}
+
+TEST(EapgBehavior, MultiSliceWriteSetsPinned)
+{
+    // Early aborts and pauses here depend on the write set accumulated
+    // over all slices of a commit, not on the latest slice alone. The
+    // pinned figures lock in that semantics.
+    GpuConfig cfg = GpuConfig::testRig();
+    cfg.protocol = ProtocolKind::Eapg;
+    cfg.numCores = 4;
+    cfg.numPartitions = 4;
+    GpuSystem gpu(cfg);
+    const unsigned n_cells = 24, n_threads = 512;
+    const Addr cells = gpu.memory().allocate(128 * n_cells);
+    const RunResult result =
+        gpu.run(spreadIncrementKernel(cells, n_cells), n_threads);
+    EXPECT_EQ(result.commits, n_threads);
+    std::uint64_t total = 0;
+    for (unsigned c = 0; c < n_cells; ++c)
+        total += gpu.memory().read(cells + 128 * c);
+    EXPECT_EQ(total, 3u * n_threads);
+    EXPECT_EQ(result.cycles, 31694u);
+    EXPECT_EQ(result.stats.counter("eapg_early_aborts"), 8045u);
+    EXPECT_EQ(result.stats.counter("eapg_pauses"), 531u);
+}
+
 TEST(GetmBehavior, ReadOwnWriteForwardsFromRedoLog)
 {
     GpuConfig cfg = GpuConfig::testRig();

@@ -101,6 +101,10 @@ class Reader
     void
     raw(void *data, std::size_t size)
     {
+        // An empty container's data() may be null, and memcpy requires
+        // valid pointers even for zero bytes.
+        if (size == 0)
+            return;
         if (static_cast<std::size_t>(end - cursor) < size)
             throw SimError(SimErrorKind::Checkpoint,
                            "checkpoint payload truncated (needed " +

@@ -497,9 +497,7 @@ GpuSystem::buildDiagnostic(SimErrorKind kind, std::string message,
 
     // Scheduler-state histogram and the worst consecutive-abort
     // streaks (warps at or past a quarter of the starvation ceiling).
-    constexpr unsigned num_states =
-        static_cast<unsigned>(WarpState::Idle) + 1;
-    std::array<unsigned, num_states> state_counts{};
+    std::array<unsigned, numWarpStates> state_counts{};
     const unsigned starve_floor =
         std::max(1u, cfg.core.starvationAbortCeiling / 4);
     for (auto &core : coreArray) {
@@ -517,7 +515,7 @@ GpuSystem::buildDiagnostic(SimErrorKind kind, std::string message,
             }
         }
     }
-    for (unsigned s = 0; s < num_states; ++s)
+    for (unsigned s = 0; s < numWarpStates; ++s)
         if (state_counts[s])
             diag.warpStates.emplace_back(
                 warpStateName(static_cast<WarpState>(s)),

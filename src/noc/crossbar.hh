@@ -10,7 +10,12 @@
  * expensive without simulating individual flits.
  *
  * Timing is computed analytically at send time; delivery ordering per
- * destination is by computed arrival cycle (ties broken FIFO).
+ * destination is by computed arrival cycle (ties broken FIFO). Each
+ * destination's inbox is a plain FIFO: route() leaves dstFree[dst] at the
+ * delivery cycle it returns, and the next delivery to that destination
+ * starts ejecting no earlier than dstFree[dst], so deliveries to one
+ * destination never decrease in send order. Send order is therefore
+ * already (when, seq) order, whatever the send cycles were.
  *
  * Concurrency contract (docs/PARALLELISM.md): send() and nextArrival()
  * are serial-stage only. hasReady()/popReady() may run concurrently for
@@ -25,12 +30,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -120,7 +126,15 @@ class Crossbar
         const Cycle when = timing.route(src, dst, bytes, now);
         if (sendHook)
             sendHook(msg, now, when);
-        inbox[dst].push(Entry{when, seq++, std::move(msg)});
+        auto &queue = inbox[dst];
+        // The FIFO is exact only while route() keeps per-destination
+        // deliveries monotonic (file comment); fail loudly otherwise.
+        if (!queue.empty() && when < queue.back().when)
+            panic("crossbar %u: delivery at cycle %llu precedes queued "
+                  "delivery at %llu",
+                  dst, static_cast<unsigned long long>(when),
+                  static_cast<unsigned long long>(queue.back().when));
+        queue.push_back(Entry{when, seq++, std::move(msg)});
         pending.fetch_add(1, std::memory_order_relaxed);
         if (!arrivalDirty.load(std::memory_order_relaxed) &&
             when < cachedArrival)
@@ -135,22 +149,20 @@ class Crossbar
     bool
     hasReady(unsigned dst, Cycle now) const
     {
-        return !inbox[dst].empty() && inbox[dst].top().when <= now;
+        return !inbox[dst].empty() && inbox[dst].front().when <= now;
     }
 
     /** Pop the oldest arrived message for @p dst (must be hasReady()). */
     MsgT
     popReady(unsigned dst)
     {
-        // Move the message out rather than copy its ops: the heap orders
-        // by (when, seq), which the move leaves intact for pop().
-        Entry top = std::move(const_cast<Entry &>(inbox[dst].top()));
-        inbox[dst].pop();
+        MsgT msg = std::move(inbox[dst].front().msg);
+        inbox[dst].pop_front();
         pending.fetch_sub(1, std::memory_order_relaxed);
         // The popped entry may have been the cached minimum; recompute
         // lazily on the next nextArrival() call.
         arrivalDirty.store(true, std::memory_order_relaxed);
-        return std::move(top.msg);
+        return msg;
     }
 
     /** Earliest pending arrival across all destinations (or ~0).
@@ -161,8 +173,8 @@ class Crossbar
         if (arrivalDirty.load(std::memory_order_relaxed)) {
             Cycle best = ~static_cast<Cycle>(0);
             for (const auto &queue : inbox)
-                if (!queue.empty() && queue.top().when < best)
-                    best = queue.top().when;
+                if (!queue.empty() && queue.front().when < best)
+                    best = queue.front().when;
             cachedArrival = best;
             arrivalDirty.store(false, std::memory_order_relaxed);
         }
@@ -188,9 +200,9 @@ class Crossbar
 
     /**
      * Checkpoint hook: timing state, send sequence, and every in-flight
-     * message (each inbox drains/reloads in (when, seq) pop order, a
-     * total order, so heap layout is unobservable). The in-flight gauge
-     * is recomputed and the arrival cache invalidated on load.
+     * message (each inbox as a count, then its entries in arrival order,
+     * which is (when, seq) pop order). The in-flight gauge is recomputed
+     * and the arrival cache invalidated on load.
      */
     template <class Ar>
     void
@@ -214,13 +226,6 @@ class Crossbar
         std::uint64_t seq;
         MsgT msg;
 
-        bool
-        operator>(const Entry &other) const
-        {
-            return when != other.when ? when > other.when
-                                      : seq > other.seq;
-        }
-
         template <class Ar> void ckpt(Ar &ar) { ar(when, seq, msg); }
     };
 
@@ -231,9 +236,8 @@ class Crossbar
     std::atomic<std::size_t> pending{0};
     mutable Cycle cachedArrival = ~static_cast<Cycle>(0);
     mutable std::atomic<bool> arrivalDirty{false};
-    std::vector<std::priority_queue<Entry, std::vector<Entry>,
-                                    std::greater<Entry>>>
-        inbox;
+    /** Per-destination FIFO, in (when, seq) order (file comment). */
+    std::vector<std::deque<Entry>> inbox;
 };
 
 } // namespace getm

@@ -1,5 +1,6 @@
 #include "simt/simt_core.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "check/sink.hh"
@@ -68,6 +69,16 @@ SimtCore::SimtCore(CoreId id, const CoreConfig &config, const AddressMap &map,
         warps[slot].slot = slot;
         warps[slot].state = WarpState::Idle;
     }
+    rebuildSlotBits();
+}
+
+void
+SimtCore::rebuildSlotBits()
+{
+    slotBits.assign((stateOf.size() + 63) / 64, {});
+    for (unsigned slot = 0; slot < stateOf.size(); ++slot)
+        slotBits[slot / 64][static_cast<unsigned>(stateOf[slot])] |=
+            std::uint64_t{1} << (slot % 64);
 }
 
 void
@@ -93,21 +104,24 @@ SimtCore::maybeLaunchWarps(Cycle now)
 {
     if (workExhausted)
         return;
-    for (auto &warp : warps) {
-        if (stateOf[warp.slot] != WarpState::Idle &&
-            stateOf[warp.slot] != WarpState::Finished)
-            continue;
-        WarpAssignment assign{};
-        if (!workSource(assign)) {
-            workExhausted = true;
-            return;
+    for (unsigned w = 0; w < slotBits.size(); ++w) {
+        for (std::uint64_t free = slotsIn(WarpState::Idle, w) |
+                                  slotsIn(WarpState::Finished, w);
+             free; free &= free - 1) {
+            const unsigned slot = w * 64 + std::countr_zero(free);
+            WarpAssignment assign{};
+            if (!workSource(assign)) {
+                workExhausted = true;
+                return;
+            }
+            Warp &warp = warps[slot];
+            warp.launch(coreId * cfg.maxWarps + slot, slot,
+                        assign.firstTid, assign.validLanes, now);
+            setSlotState(slot, warp.state);
+            wakeOf[slot] = warp.wakeCycle;
+            ++liveWarps;
+            stWarpsLaunched.add();
         }
-        warp.launch(coreId * cfg.maxWarps + warp.slot, warp.slot,
-                    assign.firstTid, assign.validLanes, now);
-        stateOf[warp.slot] = warp.state;
-        wakeOf[warp.slot] = warp.wakeCycle;
-        ++liveWarps;
-        stWarpsLaunched.add();
     }
 }
 
@@ -141,72 +155,70 @@ SimtCore::changeState(Warp &warp, WarpState state)
         }
     }
     warp.state = state;
-    stateOf[warp.slot] = state;
+    setSlotState(warp.slot, state);
     warp.stateSince = currentCycle;
     if (traceSink && warp.inTx)
         traceSink->txPhase(warp.gwid, phaseOf(state), currentCycle);
 }
 
+// The bitset walks below copy each word before visiting its bits:
+// changeState() only moves the visited slot, so the copy stays exact and
+// slots are visited in ascending order, as a full slot scan would.
+
 void
 SimtCore::wakeThrottled()
 {
-    const unsigned n = static_cast<unsigned>(warps.size());
-    for (unsigned slot = 0; slot < n; ++slot)
-        if (stateOf[slot] == WarpState::ThrottleWait)
-            changeState(warps[slot], WarpState::Ready);
+    for (unsigned w = 0; w < slotBits.size(); ++w)
+        for (std::uint64_t waiting = slotsIn(WarpState::ThrottleWait, w);
+             waiting; waiting &= waiting - 1)
+            changeState(warps[w * 64 + std::countr_zero(waiting)],
+                        WarpState::Ready);
 }
 
 Cycle
 SimtCore::nextEventCycle(Cycle now) const
 {
-    Cycle best = ~static_cast<Cycle>(0);
-    const unsigned n = static_cast<unsigned>(warps.size());
-    if (!workExhausted) {
-        for (unsigned slot = 0; slot < n; ++slot)
-            if (stateOf[slot] == WarpState::Idle ||
-                stateOf[slot] == WarpState::Finished)
-                return now;
-    }
-    for (unsigned slot = 0; slot < n; ++slot) {
-        switch (stateOf[slot]) {
-          case WarpState::Ready:
+    for (unsigned w = 0; w < slotBits.size(); ++w) {
+        if (slotsIn(WarpState::Ready, w))
             return now;
-          case WarpState::BackoffWait:
-          case WarpState::PipelineWait:
-            if (wakeOf[slot] < best)
-                best = wakeOf[slot];
-            break;
-          default:
-            break;
-        }
+        if (!workExhausted && (slotsIn(WarpState::Idle, w) |
+                               slotsIn(WarpState::Finished, w)))
+            return now;
     }
+    Cycle best = ~static_cast<Cycle>(0);
+    for (unsigned w = 0; w < slotBits.size(); ++w)
+        for (std::uint64_t timed = slotsIn(WarpState::BackoffWait, w) |
+                                   slotsIn(WarpState::PipelineWait, w);
+             timed; timed &= timed - 1)
+            best = std::min(best, wakeOf[w * 64 + std::countr_zero(timed)]);
     return best;
 }
 
 Warp *
 SimtCore::pickWarp(Cycle now)
 {
-    const unsigned n = static_cast<unsigned>(warps.size());
-
     // Wake pipeline stalls, and expired backoffs (unless frozen for
     // timestamp rollover).
-    for (unsigned slot = 0; slot < n; ++slot) {
-        if (wakeOf[slot] > now)
-            continue;
-        if (stateOf[slot] == WarpState::PipelineWait ||
-            (stateOf[slot] == WarpState::BackoffWait && !txFrozen))
-            changeState(warps[slot], WarpState::Ready);
+    for (unsigned w = 0; w < slotBits.size(); ++w) {
+        std::uint64_t timed = slotsIn(WarpState::PipelineWait, w);
+        if (!txFrozen)
+            timed |= slotsIn(WarpState::BackoffWait, w);
+        for (; timed; timed &= timed - 1) {
+            const unsigned slot = w * 64 + std::countr_zero(timed);
+            if (wakeOf[slot] <= now)
+                changeState(warps[slot], WarpState::Ready);
+        }
     }
 
     // Greedy-then-oldest: stay on the last issued warp while it is ready,
     // otherwise pick the lowest (oldest) ready slot.
-    const unsigned last = lastIssued % n;
+    const unsigned last = lastIssued % warps.size();
     if (stateOf[last] == WarpState::Ready)
         return &warps[last];
-    for (unsigned slot = 0; slot < n; ++slot) {
-        if (stateOf[slot] == WarpState::Ready) {
-            lastIssued = slot;
-            return &warps[slot];
+    for (unsigned w = 0; w < slotBits.size(); ++w) {
+        if (const std::uint64_t ready = slotsIn(WarpState::Ready, w)) {
+            lastIssued = w * 64 + std::countr_zero(ready);
+            return &warps[lastIssued];
         }
     }
     return nullptr;

@@ -13,6 +13,8 @@
 #ifndef GETM_SIMT_SIMT_CORE_HH
 #define GETM_SIMT_SIMT_CORE_HH
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -280,6 +282,8 @@ class SimtCore
         ar(totalThreads, workExhausted, warps, stateOf, wakeOf, l1,
            mshrs, txActive, lastIssued, liveWarps, txFrozen,
            currentCycle, randomGen, statSet);
+        if constexpr (!Ar::saving)
+            rebuildSlotBits();
         if (protocol) {
             if constexpr (Ar::saving)
                 protocol->ckptSave(ar);
@@ -329,14 +333,40 @@ class SimtCore
 
     std::vector<Warp> warps;
     /**
-     * Dense mirrors of Warp::state / Warp::wakeCycle, indexed by slot.
-     * The scheduler scans every slot per tick; walking 48 full Warp
-     * structs is cache-hostile, so the scan fields live in two flat
-     * arrays kept in sync at the few mutation sites (changeState,
-     * setWake, launch).
+     * Dense mirrors of Warp::state / Warp::wakeCycle, indexed by slot,
+     * kept in sync at the few mutation sites (changeState, setWake,
+     * launch). stateOf is the checkpointed truth; slotBits indexes it.
      */
     std::vector<WarpState> stateOf;
     std::vector<Cycle> wakeOf;
+    /**
+     * Scheduler index derived from stateOf: one slot bitset per
+     * WarpState, one word per 64 slots (word-major, so the eight state
+     * words of a slot group share a cache line). The scheduler walks
+     * set bits with countr_zero in ascending slot order instead of
+     * scanning every slot. Not serialized; rebuilt on checkpoint load.
+     */
+    std::vector<std::array<std::uint64_t, numWarpStates>> slotBits;
+
+    /** Slots of word @p w currently in @p state. */
+    std::uint64_t
+    slotsIn(WarpState state, unsigned w) const
+    {
+        return slotBits[w][static_cast<unsigned>(state)];
+    }
+
+    /** Move @p slot to @p state in stateOf and the slot bitsets. */
+    void
+    setSlotState(unsigned slot, WarpState state)
+    {
+        auto &word = slotBits[slot / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+        word[static_cast<unsigned>(stateOf[slot])] &= ~bit;
+        word[static_cast<unsigned>(state)] |= bit;
+        stateOf[slot] = state;
+    }
+
+    void rebuildSlotBits();
     CacheModel l1;
     MshrFile mshrs;
     unsigned txActive = 0;

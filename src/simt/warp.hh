@@ -147,6 +147,9 @@ enum class WarpState : std::uint8_t
     Idle,         ///< Slot has no work assigned.
 };
 
+/** Number of WarpState values (Idle is the last). */
+constexpr unsigned numWarpStates = static_cast<unsigned>(WarpState::Idle) + 1;
+
 /** Stable scheduler-state name, for diagnostics and dumps. */
 constexpr const char *
 warpStateName(WarpState state)

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <string>
 #include <unordered_map>
@@ -229,6 +230,32 @@ TEST(CkptSerial, UnorderedContainersRoundTripInOrder)
     const std::vector<std::pair<std::uint64_t, std::string>>
         restored_order(back.begin(), back.end());
     EXPECT_EQ(restored_order, saved_order);
+}
+
+TEST(CkptSerial, EmptyContainersRoundTrip)
+{
+    // Empty containers restore to empty without touching their (possibly
+    // null) storage, and leave the cursor on the next field.
+    std::vector<std::uint32_t> words;
+    std::string text;
+    std::deque<std::uint64_t> queue;
+    std::uint32_t tail = 0xfeedu;
+    ckpt::Writer w;
+    w(words, text, queue, tail);
+    const std::string bytes = w.take();
+    EXPECT_EQ(bytes.size(), 3 * sizeof(std::uint64_t) + sizeof(tail));
+
+    std::vector<std::uint32_t> words_back;
+    std::string text_back = "stale";
+    std::deque<std::uint64_t> queue_back{1, 2};
+    std::uint32_t tail_back = 0;
+    ckpt::Reader r(bytes.data(), bytes.size());
+    r(words_back, text_back, queue_back, tail_back);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_TRUE(words_back.empty());
+    EXPECT_TRUE(text_back.empty());
+    EXPECT_TRUE(queue_back.empty());
+    EXPECT_EQ(tail_back, 0xfeedu);
 }
 
 // --------------------------------------------------------------------------

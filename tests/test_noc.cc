@@ -1,10 +1,17 @@
 /**
  * @file
- * Unit tests for src/noc: crossbar timing, ordering, and accounting.
+ * Unit tests for src/noc: crossbar timing, ordering, checkpointing, and
+ * accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "ckpt/serial.hh"
 #include "noc/crossbar.hh"
 
 namespace getm {
@@ -108,6 +115,149 @@ TEST(Crossbar, NotReadyBeforeArrival)
     xbar.send(0, 0, 8, 0, 7);
     EXPECT_FALSE(xbar.hasReady(0, 5));
     EXPECT_TRUE(xbar.hasReady(0, 6));
+}
+
+/** One message sent in the mixed-traffic tests below. */
+struct Sent
+{
+    unsigned dst;
+    Cycle when;
+    int id; // also the crossbar's send sequence number
+};
+
+/**
+ * Send @p count messages from 3 sources to 4 destinations, 1-5 flits
+ * each, with send cycles around @p base that jump backwards as well as
+ * forwards, as the partitions' scheduled responses and the parallel
+ * loop's staged replay produce. Ids continue from @p sent.size().
+ */
+void
+sendMixed(Crossbar<int> &xbar, std::vector<Sent> &sent, int count,
+          Cycle base, std::uint64_t seed)
+{
+    std::uint64_t state = seed;
+    auto next = [&state](unsigned bound) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<unsigned>((state >> 33) % bound);
+    };
+    for (int i = 0; i < count; ++i) {
+        const unsigned src = next(3);
+        const unsigned dst = next(4);
+        const unsigned bytes = 1 + next(5 * 32);
+        const Cycle now = base + next(17) - 8;
+        base += next(3);
+        const int id = static_cast<int>(sent.size());
+        sent.push_back({dst, xbar.send(src, dst, bytes, now, id), id});
+    }
+}
+
+/** Ids sent to @p dst, stably sorted by (when, seq). */
+std::vector<int>
+expectedOrder(std::vector<Sent> sent, unsigned dst)
+{
+    std::stable_sort(sent.begin(), sent.end(),
+                     [](const Sent &a, const Sent &b) {
+                         return a.when != b.when ? a.when < b.when
+                                                 : a.id < b.id;
+                     });
+    std::vector<int> ids;
+    for (const Sent &s : sent)
+        if (s.dst == dst)
+            ids.push_back(s.id);
+    return ids;
+}
+
+/** Pop everything ready for @p dst at each cycle up to @p until. */
+void
+popUntil(Crossbar<int> &xbar, unsigned dst, Cycle until,
+         std::vector<int> &ids)
+{
+    for (Cycle now = 0; now <= until; ++now)
+        while (xbar.hasReady(dst, now))
+            ids.push_back(xbar.popReady(dst));
+}
+
+TEST(Crossbar, MixedTrafficPopsInWhenSeqOrder)
+{
+    Crossbar<int> xbar("x", 3, 4, config());
+    std::vector<Sent> sent;
+    sendMixed(xbar, sent, 400, 100, 7);
+    for (unsigned dst = 0; dst < 4; ++dst) {
+        std::vector<int> popped;
+        popUntil(xbar, dst, 10000, popped);
+        EXPECT_GT(popped.size(), 50u);
+        EXPECT_EQ(popped, expectedOrder(sent, dst)) << "dst " << dst;
+    }
+    EXPECT_TRUE(xbar.idle());
+}
+
+TEST(Crossbar, InterleavedSendsAndPopsStayOrdered)
+{
+    // Pops between send bursts: a message routed after one already
+    // popped for the same destination never arrives before it.
+    Crossbar<int> xbar("x", 3, 4, config());
+    std::vector<Sent> sent;
+    std::vector<std::vector<int>> popped(4);
+    for (int burst = 0; burst < 20; ++burst) {
+        const Cycle base = 100 + 15 * burst;
+        sendMixed(xbar, sent, 25, base, 100 + burst);
+        for (unsigned dst = 0; dst < 4; ++dst)
+            popUntil(xbar, dst, base, popped[dst]);
+    }
+    for (unsigned dst = 0; dst < 4; ++dst) {
+        popUntil(xbar, dst, 10000, popped[dst]);
+        EXPECT_EQ(popped[dst], expectedOrder(sent, dst)) << "dst " << dst;
+    }
+    EXPECT_TRUE(xbar.idle());
+}
+
+TEST(Crossbar, CheckpointKeepsInFlightOrderAndFormat)
+{
+    Crossbar<int> xbar("x", 3, 4, config());
+    std::vector<Sent> sent;
+    sendMixed(xbar, sent, 120, 100, 11);
+
+    ckpt::Writer w;
+    xbar.ckpt(w);
+    const std::string bytes = w.take();
+
+    // The inbox section is the send sequence, the destination count, then
+    // per destination a count and its entries (when, seq, msg) in arrival
+    // order, which is also pop order. ckpt::formatVersion pins this layout.
+    ckpt::Writer inbox;
+    std::uint64_t seq = sent.size();
+    std::uint64_t dsts = 4;
+    inbox(seq, dsts);
+    for (unsigned dst = 0; dst < 4; ++dst) {
+        const std::vector<int> order = expectedOrder(sent, dst);
+        std::uint64_t n = order.size();
+        inbox(n);
+        for (int id : order) {
+            Cycle when = sent[id].when;
+            std::uint64_t entry_seq = static_cast<std::uint64_t>(id);
+            int msg = id;
+            inbox(when, entry_seq, msg);
+        }
+    }
+    const std::string tail = inbox.take();
+    ASSERT_GE(bytes.size(), tail.size());
+    EXPECT_EQ(bytes.substr(bytes.size() - tail.size()), tail);
+
+    Crossbar<int> restored("x", 3, 4, config());
+    ckpt::Reader r(bytes.data(), bytes.size());
+    restored.ckpt(r);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(restored.inFlight(), sent.size());
+    EXPECT_EQ(restored.nextArrival(), xbar.nextArrival());
+    for (unsigned dst = 0; dst < 4; ++dst) {
+        std::vector<int> original, reloaded;
+        popUntil(xbar, dst, 10000, original);
+        popUntil(restored, dst, 10000, reloaded);
+        EXPECT_EQ(reloaded, expectedOrder(sent, dst)) << "dst " << dst;
+        EXPECT_EQ(reloaded, original) << "dst " << dst;
+    }
+    // Later sends continue the restored sequence and port clocks.
+    EXPECT_EQ(restored.send(0, 1, 8, 500, -1), xbar.send(0, 1, 8, 500, -1));
 }
 
 TEST(CrossbarDeath, PortOutOfRange)

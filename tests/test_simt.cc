@@ -245,5 +245,62 @@ TEST(Simt, CyclesAdvanceMonotonically)
     EXPECT_LT(small.cycles, 100000u);
 }
 
+/**
+ * One core with 80 warp slots runs 96 warps of a contended transactional
+ * kernel (hash latency, throttle, backoff), so the scheduler's slot
+ * bitsets span two words and slots 64-79 are live in every state.
+ */
+RunResult
+runWideCore(bool legacy)
+{
+    GpuConfig cfg = GpuConfig::testRig();
+    cfg.protocol = ProtocolKind::Getm;
+    cfg.numCores = 1;
+    cfg.core.maxWarps = 80;
+    cfg.core.txWarpLimit = 72;
+    cfg.legacyLoop = legacy;
+    GpuSystem gpu(cfg);
+    const unsigned n = 96 * warpSize;
+    const unsigned hot = 8;
+    const Addr counters = gpu.memory().allocate(32 * hot);
+
+    KernelBuilder kb("wide_core");
+    const Reg tid(1), h(2), a(3), v(4);
+    kb.readSpecial(tid, SpecialReg::ThreadId);
+    kb.hashi(h, tid, 17);
+    kb.remui(h, h, hot);
+    kb.shli(a, h, 5);
+    kb.addi(a, a, static_cast<std::int64_t>(counters));
+    kb.txBegin();
+    kb.load(v, a);
+    kb.addi(v, v, 1);
+    kb.store(a, v);
+    kb.txCommit();
+    kb.exit();
+    const RunResult result = gpu.run(kb.build(), n);
+
+    EXPECT_EQ(result.commits, n);
+    std::uint64_t total = 0;
+    for (unsigned c = 0; c < hot; ++c)
+        total += gpu.memory().read(counters + 32 * c);
+    EXPECT_EQ(total, n);
+    return result;
+}
+
+TEST(Simt, MoreThan64WarpSlotsPinned)
+{
+    const RunResult event = runWideCore(false);
+    // Recorded with the slot-scanning scheduler the bitsets replaced.
+    EXPECT_EQ(event.cycles, 94846u);
+    EXPECT_EQ(event.stats.counter("instructions"), 19908u);
+    EXPECT_EQ(event.stats.counter("warps_launched"), 96u);
+    EXPECT_GT(event.stats.counter("throttle_stalls"), 0u);
+    EXPECT_GT(event.stats.counter("tx_retries"), 0u);
+
+    const RunResult legacy = runWideCore(true);
+    EXPECT_EQ(event.cycles, legacy.cycles);
+    EXPECT_EQ(event.stats.dump(), legacy.stats.dump());
+}
+
 } // namespace
 } // namespace getm

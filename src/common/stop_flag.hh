@@ -3,9 +3,10 @@
  * Process-wide graceful-stop flag.
  *
  * The CLIs install SIGINT/SIGTERM handlers that call requestStop();
- * the simulation loops poll stopRequested() at every iteration top (a
- * barrier point of the parallel loop) and wind down cleanly: final
- * checkpoint when enabled, partial metrics flushed, exit 128+signal.
+ * the simulation loops poll stopRequested() at every iteration top
+ * (between cycles, where the machine is consistent) and wind down
+ * cleanly: final checkpoint when enabled, partial metrics flushed,
+ * exit 128+signal.
  *
  * A lock-free std::atomic<int> store is async-signal-safe, which is
  * all a handler does here; everything else (checkpoint write, metric

@@ -56,17 +56,12 @@ void
 MemPartition::tick(Cycle now)
 {
     // 1. Inject due responses into the down crossbar at their exact
-    //    ready cycles (or stage them when the parallel loop diverted
-    //    the injection point).
+    //    ready cycles.
     while (!outQueue.empty() && outQueue.top().when <= now) {
         // Moved, not copied: the heap orders by (when, seq), which the
         // move leaves intact for pop().
         Outbound out = std::move(const_cast<Outbound &>(outQueue.top()));
         outQueue.pop();
-        if (downSendFn) {
-            downSendFn(std::move(out.msg), out.when);
-            continue;
-        }
         const unsigned bytes = out.msg.bytes;
         const CoreId core = out.msg.core;
         xbarDown.send(id, core, bytes, out.when, std::move(out.msg));

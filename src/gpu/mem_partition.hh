@@ -64,20 +64,6 @@ class MemPartition : public PartitionContext
     /** Install the fault injector (may be null). */
     void setFaults(FaultInjector *f) { faultInj = f; }
 
-    /**
-     * Divert down-crossbar injections (may be null to restore direct
-     * sends). The parallel cycle loop stages partition sends on worker
-     * threads and replays them at the barrier in partition order, the
-     * same scheme as the cores' upward staging (docs/PARALLELISM.md).
-     * @p fn receives the message and the cycle it became ready (the
-     * send time the crossbar must charge).
-     */
-    void
-    setDownSendFn(std::function<void(MemMsg &&, Cycle)> fn)
-    {
-        downSendFn = std::move(fn);
-    }
-
     /** Apply a rollover stall penalty to the unit's pipeline. */
     void
     addPipelineStall(Cycle now, Cycle penalty)
@@ -142,7 +128,6 @@ class MemPartition : public PartitionContext
     ObsSink *traceSink = nullptr;
     CheckSink *checkSink = nullptr;
     FaultInjector *faultInj = nullptr;
-    std::function<void(MemMsg &&, Cycle)> downSendFn;
 
     Cycle popFree = 0;
     std::uint64_t outSeq = 0;

@@ -5,30 +5,16 @@
  * Timing is modelled elsewhere (CacheModel / DramModel); this class only
  * holds data. Storage is paged so sparse address spaces stay cheap. All
  * workloads operate on 32-bit words, which is also the granularity of
- * value-based validation in WarpTM.
- *
- * Concurrency contract (docs/PARALLELISM.md): the parallel cycle loop
- * lets every SIMT core touch the store from its worker thread, so
- *  - words are relaxed atomics (a plain load/store on x86 — the serial
- *    loops compile to the same code and produce the same values);
- *  - the page directory is a two-level radix of atomic pointers with
- *    CAS insertion, so a first-touch allocation on one worker can never
- *    invalidate a concurrent lookup on another (an unordered_map rehash
- *    would).
- * Two lanes racing on the *same word* in the same cycle is a data race
- * in the simulated program; the store keeps the simulator well-defined
- * (word-level atomicity) but such programs are outside the
- * byte-determinism contract.
+ * value-based validation in WarpTM. The page directory is a two-level
+ * radix, so a lookup is two indexed loads and pages never move.
  */
 
 #ifndef GETM_MEM_BACKING_STORE_HH
 #define GETM_MEM_BACKING_STORE_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -41,7 +27,6 @@ class BackingStore
     static constexpr unsigned wordBytes = 4;
 
     BackingStore() = default;
-    ~BackingStore();
     BackingStore(const BackingStore &) = delete;
     BackingStore &operator=(const BackingStore &) = delete;
 
@@ -51,14 +36,14 @@ class BackingStore
     /** Write the 32-bit word at byte address @p addr (must be aligned). */
     void write(Addr addr, std::uint32_t value);
 
-    /** Atomically compare-and-swap; returns the old value. */
+    /** Compare-and-swap; returns the old value. */
     std::uint32_t atomicCas(Addr addr, std::uint32_t compare,
                             std::uint32_t swap);
 
-    /** Atomically exchange; returns the old value. */
+    /** Exchange; returns the old value. */
     std::uint32_t atomicExch(Addr addr, std::uint32_t value);
 
-    /** Atomically add; returns the old value. */
+    /** Add; returns the old value. */
     std::uint32_t atomicAdd(Addr addr, std::uint32_t value);
 
     /**
@@ -83,16 +68,13 @@ class BackingStore
     ckpt(Ar &ar)
     {
         ar(allocTop);
-        std::vector<std::uint32_t> buf(wordsPerPage);
         if constexpr (Ar::saving) {
             std::uint64_t npages = 0;
-            forEachPage([&](std::uint64_t, Word *) { ++npages; });
+            forEachPage([&](std::uint64_t, std::uint32_t *) { ++npages; });
             ar.raw(&npages, sizeof(npages));
-            forEachPage([&](std::uint64_t index, Word *words) {
+            forEachPage([&](std::uint64_t index, std::uint32_t *words) {
                 ar.raw(&index, sizeof(index));
-                for (std::uint64_t w = 0; w < wordsPerPage; ++w)
-                    buf[w] = words[w].load(std::memory_order_relaxed);
-                ar.raw(buf.data(), pageBytes);
+                ar.raw(words, pageBytes);
             });
         } else {
             std::uint64_t npages = 0;
@@ -100,10 +82,7 @@ class BackingStore
             for (std::uint64_t p = 0; p < npages; ++p) {
                 std::uint64_t index = 0;
                 ar.raw(&index, sizeof(index));
-                Word *words = pageFor(index * pageBytes);
-                ar.raw(buf.data(), pageBytes);
-                for (std::uint64_t w = 0; w < wordsPerPage; ++w)
-                    words[w].store(buf[w], std::memory_order_relaxed);
+                ar.raw(pageFor(index * pageBytes), pageBytes);
             }
         }
     }
@@ -115,14 +94,12 @@ class BackingStore
     forEachPage(Fn &&fn)
     {
         for (std::uint64_t i = 0; i < dirFanout; ++i) {
-            Leaf *leaf = root[i].load(std::memory_order_relaxed);
-            if (!leaf)
+            if (!root[i])
                 continue;
-            for (std::uint64_t j = 0; j < dirFanout; ++j) {
-                Word *words = (*leaf)[j].load(std::memory_order_relaxed);
-                if (words)
-                    fn((i << dirBits) | j, words);
-            }
+            const Leaf &leaf = *root[i];
+            for (std::uint64_t j = 0; j < dirFanout; ++j)
+                if (leaf[j])
+                    fn((i << dirBits) | j, leaf[j].get());
         }
     }
 
@@ -132,21 +109,27 @@ class BackingStore
     static constexpr unsigned dirBits = 11;
     static constexpr std::uint64_t dirFanout = 1ull << dirBits;
 
-    using Word = std::atomic<std::uint32_t>;
-    /** One leaf directory: pointers to zero-initialised word arrays. */
-    using Leaf = std::array<std::atomic<Word *>, dirFanout>;
+    /** One leaf directory: zero-initialised word arrays (pages). */
+    using Leaf = std::array<std::unique_ptr<std::uint32_t[]>, dirFanout>;
 
     /** Find the page words for @p addr, allocating on first touch. */
-    Word *pageFor(Addr addr);
+    std::uint32_t *pageFor(Addr addr);
     /** Find the page words for @p addr, or nullptr if never touched. */
-    const Word *pageForConst(Addr addr) const;
+    const std::uint32_t *pageForConst(Addr addr) const;
+
+    /** The word at byte address @p addr, allocating its page. */
+    std::uint32_t &
+    wordAt(Addr addr)
+    {
+        return pageFor(addr)[(addr % pageBytes) / wordBytes];
+    }
 
     // Reserve page 0 so that address 0 is never handed out (null-like).
     static constexpr Addr baseAddr = pageBytes;
     Addr allocTop = baseAddr;
 
-    /** Root directory; leaves and pages are CAS-inserted on demand. */
-    std::array<std::atomic<Leaf *>, dirFanout> root{};
+    /** Root directory; leaves and pages are allocated on demand. */
+    std::array<std::unique_ptr<Leaf>, dirFanout> root;
 };
 
 } // namespace getm

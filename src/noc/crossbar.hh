@@ -16,19 +16,11 @@
  * starts ejecting no earlier than dstFree[dst], so deliveries to one
  * destination never decrease in send order. Send order is therefore
  * already (when, seq) order, whatever the send cycles were.
- *
- * Concurrency contract (docs/PARALLELISM.md): send() and nextArrival()
- * are serial-stage only. hasReady()/popReady() may run concurrently for
- * *distinct* destinations while no send() is in flight — each
- * destination's inbox has a single owner per phase, and the only shared
- * pop-side state (the in-flight gauge and the arrival-cache dirty flag)
- * is relaxed-atomic.
  */
 
 #ifndef GETM_NOC_CROSSBAR_HH
 #define GETM_NOC_CROSSBAR_HH
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -135,9 +127,8 @@ class Crossbar
                   dst, static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(queue.back().when));
         queue.push_back(Entry{when, seq++, std::move(msg)});
-        pending.fetch_add(1, std::memory_order_relaxed);
-        if (!arrivalDirty.load(std::memory_order_relaxed) &&
-            when < cachedArrival)
+        ++pending;
+        if (!arrivalDirty && when < cachedArrival)
             cachedArrival = when;
         return when;
     }
@@ -158,25 +149,24 @@ class Crossbar
     {
         MsgT msg = std::move(inbox[dst].front().msg);
         inbox[dst].pop_front();
-        pending.fetch_sub(1, std::memory_order_relaxed);
+        --pending;
         // The popped entry may have been the cached minimum; recompute
         // lazily on the next nextArrival() call.
-        arrivalDirty.store(true, std::memory_order_relaxed);
+        arrivalDirty = true;
         return msg;
     }
 
-    /** Earliest pending arrival across all destinations (or ~0).
-     *  Serial-stage only (rebuilds the shared arrival cache). */
+    /** Earliest pending arrival across all destinations (or ~0). */
     Cycle
     nextArrival() const
     {
-        if (arrivalDirty.load(std::memory_order_relaxed)) {
+        if (arrivalDirty) {
             Cycle best = ~static_cast<Cycle>(0);
             for (const auto &queue : inbox)
                 if (!queue.empty() && queue.front().when < best)
                     best = queue.front().when;
             cachedArrival = best;
-            arrivalDirty.store(false, std::memory_order_relaxed);
+            arrivalDirty = false;
         }
         return cachedArrival;
     }
@@ -185,14 +175,14 @@ class Crossbar
     bool
     idle() const
     {
-        return pending.load(std::memory_order_relaxed) == 0;
+        return pending == 0;
     }
 
     /** Messages currently queued or in flight (telemetry gauge). */
     std::size_t
     inFlight() const
     {
-        return pending.load(std::memory_order_relaxed);
+        return pending;
     }
 
     std::uint64_t totalFlits() const { return timing.totalFlits(); }
@@ -211,11 +201,10 @@ class Crossbar
         timing.ckpt(ar);
         ar(seq, inbox);
         if constexpr (!Ar::saving) {
-            std::size_t n = 0;
+            pending = 0;
             for (const auto &queue : inbox)
-                n += queue.size();
-            pending.store(n, std::memory_order_relaxed);
-            arrivalDirty.store(true, std::memory_order_relaxed);
+                pending += queue.size();
+            arrivalDirty = true;
         }
     }
 
@@ -232,10 +221,10 @@ class Crossbar
     CrossbarTiming timing;
     SendHook sendHook;
     std::uint64_t seq = 0;
-    /** In-flight gauge; relaxed so concurrent per-dst pops stay clean. */
-    std::atomic<std::size_t> pending{0};
+    /** In-flight gauge. */
+    std::size_t pending = 0;
     mutable Cycle cachedArrival = ~static_cast<Cycle>(0);
-    mutable std::atomic<bool> arrivalDirty{false};
+    mutable bool arrivalDirty = false;
     /** Per-destination FIFO, in (when, seq) order (file comment). */
     std::vector<std::deque<Entry>> inbox;
 };

@@ -82,16 +82,6 @@ class ConflictProfiler
     std::uint64_t totalEvents() const { return events; }
 
     /**
-     * Fold @p other's rows into this profiler (summing per-address
-     * counts). All aggregates are commutative sums and topN() orders
-     * deterministically, so merging worker-local shards at the end of a
-     * parallel run reproduces the serial loop's report byte for byte.
-     */
-    void mergeFrom(const ConflictProfiler &other);
-
-    void clear();
-
-    /**
      * Checkpoint hook. The one-entry memo is a pure accelerator whose
      * pointer cannot survive a restore; it re-warms on the first
      * record() after load.
@@ -111,8 +101,7 @@ class ConflictProfiler
     /**
      * Find-or-create with a one-entry memo: conflict events cluster on
      * the same hot granule, so most lookups hit the last row. The map's
-     * nodes are pointer-stable, so the memo survives inserts and only
-     * clear() invalidates it.
+     * nodes are pointer-stable, so the memo survives inserts.
      */
     HotAddrRow &rowFor(Addr addr, PartitionId partition);
 

@@ -77,78 +77,6 @@ struct ObsReport
     }
 };
 
-/**
- * Worker-local observability shard (docs/PARALLELISM.md).
- *
- * The parallel cycle loop gives every SIMT core its own shard so abort
- * attribution never touches shared state from a worker thread; the hub
- * absorbs the shards (in core order) before reporting. Everything a
- * *core* reports is a commutative sum, so absorbing at the end of the
- * run reproduces the serial loop's report byte for byte. The
- * order-sensitive stall gauge (current/peak occupancy) is partition
- * territory and partitions tick on the serial stage, reporting straight
- * into the hub — a shard accumulates stall events defensively but its
- * gauge never feeds the hub's transient peak.
- */
-class ObsShard : public ObsSink
-{
-  public:
-    void
-    abortEvent(AbortReason reason, Addr addr, PartitionId partition,
-               unsigned lanes, Cycle) override
-    {
-        abortLanes[static_cast<unsigned>(reason)] += lanes;
-        prof.record(reason, addr, partition, lanes);
-    }
-
-    void
-    conflictEvent(AbortReason reason, Addr addr, PartitionId partition,
-                  Cycle) override
-    {
-        prof.record(reason, addr, partition);
-    }
-
-    void
-    stallEvent(AbortReason reason, Addr addr, PartitionId partition,
-               unsigned depth, Cycle) override
-    {
-        stalls[static_cast<unsigned>(reason)] += 1;
-        depthSum += depth;
-        depthCount += 1;
-        prof.record(reason, addr, partition);
-        prof.recordStallDepth(addr, partition, depth);
-    }
-
-    void stallRelease(PartitionId, Cycle) override {}
-
-    /** Drop all accumulated state (reuse across runs). */
-    void
-    clear()
-    {
-        abortLanes.fill(0);
-        stalls.fill(0);
-        depthSum = 0;
-        depthCount = 0;
-        prof.clear();
-    }
-
-    /** Checkpoint hook: shards hold un-absorbed event sums mid-run. */
-    template <class Ar>
-    void
-    ckpt(Ar &ar)
-    {
-        ar(abortLanes, stalls, depthSum, depthCount, prof);
-    }
-
-  private:
-    friend class Observability;
-    std::array<std::uint64_t, numAbortReasons> abortLanes{};
-    std::array<std::uint64_t, numAbortReasons> stalls{};
-    std::uint64_t depthSum = 0;
-    std::uint64_t depthCount = 0;
-    ConflictProfiler prof;
-};
-
 /** The concrete sink: aggregates events and owns the sampler. */
 class Observability : public ObsSink
 {
@@ -160,9 +88,6 @@ class Observability : public ObsSink
     void stallEvent(AbortReason reason, Addr addr, PartitionId partition,
                     unsigned depth, Cycle now) override;
     void stallRelease(PartitionId partition, Cycle now) override;
-
-    /** Fold a worker-local shard into the hub and clear the shard. */
-    void absorbShard(ObsShard &shard);
 
     CycleSampler &cycleSampler() { return sampler; }
     const ConflictProfiler &profiler() const { return prof; }

@@ -91,14 +91,6 @@ class SimtCore
     /** Install the protocol engine (may be null for the lock baseline). */
     void setProtocol(std::unique_ptr<TmCoreProtocol> engine);
 
-    /**
-     * Replace the upward send callback. The parallel cycle loop swaps
-     * in a per-core staging callback (sends recorded on the worker,
-     * replayed serially in deterministic order) and restores the direct
-     * crossbar callback afterwards.
-     */
-    void setSendFn(SendFn send_up) { sendUp = std::move(send_up); }
-
     /** Begin executing @p kernel; warps are pulled from @p work. */
     void startKernel(const Kernel *kernel, std::uint64_t total_threads,
                      WorkFn work, Cycle now);
@@ -110,17 +102,17 @@ class SimtCore
     void tick(Cycle now);
 
     /**
-     * Run protocol work deferred out of tick() into the serial commit
-     * micro-phase (TmCoreProtocol::runDeferredCommits). Every cycle
-     * loop calls this in core order after all cores ticked; the clock
-     * is synced first because the event loop lets idle cores lag.
-     * @return true if any deferred work ran.
+     * Run protocol work parked during tick() in the commit micro-phase
+     * (TmCoreProtocol::runCommitPhase). Every cycle loop calls this in
+     * core order after all cores ticked; the clock is synced first
+     * because the event loop lets idle cores lag.
+     * @return true if any parked work ran.
      */
     bool
-    runDeferredProtocolWork(Cycle now)
+    runCommitPhase(Cycle now)
     {
         currentCycle = now;
-        return protocol ? protocol->runDeferredCommits(now) : false;
+        return protocol ? protocol->runCommitPhase(now) : false;
     }
 
     /** Earliest future cycle at which this core can make progress. */

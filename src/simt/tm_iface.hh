@@ -69,20 +69,18 @@ class TmCoreProtocol
     virtual void onBroadcast(const MemMsg &msg) { (void)msg; }
 
     /**
-     * Run protocol work the engine deferred out of the regular tick
-     * into a serial micro-phase after all cores ticked. WarpTM-EL uses
-     * this for commit points: an EL commit applies its write log to
-     * shared memory core-side, so running it mid-tick on a worker
-     * thread would race other cores' instant validations against the
-     * store. Every cycle loop — serial or parallel — invokes this in
-     * core order after the tick phase, so one-thread and N-thread runs
-     * execute commits at the identical point (docs/PARALLELISM.md).
+     * Run protocol work the engine parked during its tick in the
+     * commit micro-phase, after all cores ticked. WarpTM-EL uses this
+     * for commit points: an EL commit's final instant validation and
+     * write-log apply run here, in core order, so every core's tick of
+     * the cycle sees the same shared memory. The cycle loop invokes
+     * this after the tick phase; the golden fixtures pin the schedule.
      *
-     * @return true if any deferred work ran (the event loop uses this
+     * @return true if any parked work ran (the event loop uses this
      *         to refresh the core's wake cycle).
      */
     virtual bool
-    runDeferredCommits(Cycle now)
+    runCommitPhase(Cycle now)
     {
         (void)now;
         return false;

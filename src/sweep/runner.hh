@@ -58,16 +58,6 @@ struct SweepOptions
     std::uint64_t traceTx = 0;
 
     /**
-     * Worker threads *inside* each point's cycle loop (GpuConfig
-     * simThreads; 1 = serial). Like traceTx, applied after enumeration
-     * and excluded from provenance — the parallel loop is
-     * byte-deterministic — so hashes and sweep.json never change with
-     * it. The runner clamps jobs x simThreads to the hardware thread
-     * count (docs/PARALLELISM.md, "Budgeting threads").
-     */
-    unsigned simThreads = 1;
-
-    /**
      * Deterministic manifest partitioning (docs/DURABILITY.md): with
      * shardCount > 0, run only the points whose enumeration index i
      * satisfies i % shardCount == shardIndex. Enumeration order is a
@@ -86,8 +76,8 @@ struct SweepOptions
      * restores from it instead of re-simulating from cycle 0, and a
      * point that dies in a typed SimError parks its final snapshot
      * next to the failure document (points/<id>.final.ckpt). Like
-     * traceTx/simThreads, excluded from provenance, so spec hashes
-     * and every emitted document are unchanged by the cadence.
+     * traceTx, excluded from provenance, so spec hashes and every
+     * emitted document are unchanged by the cadence.
      */
     std::uint64_t ckptEvery = 0;
 };

@@ -26,8 +26,8 @@ IntraWarpCd::resolveAtCommit(const ThreadTxLog *logs, unsigned warp_size,
     // Two-phase parallel resolution modelled functionally: accept lanes in
     // index order; a lane survives if none of its accesses conflict with
     // a previously accepted lane's accesses. The table is a per-thread
-    // scratch reused across commits (commits resolve on worker threads
-    // when sim_threads > 1).
+    // scratch reused across commits (getm-sweep --jobs runs several
+    // simulations at once, one per host thread).
     thread_local IntraWarpCd accepted;
     accepted.clear();
     LaneMask survivors = 0;

@@ -8,14 +8,11 @@
 #define GETM_WARPTM_WTM_COMMON_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 #include "isa/instruction.hh"
 
 namespace getm {
-
-class Warp;
 
 /** Conflict-detection flavour of the WarpTM engine. */
 enum class WtmMode : std::uint8_t
@@ -34,114 +31,12 @@ enum class WtmMode : std::uint8_t
  * Global commit-id allocator shared by all cores. WarpTM serializes
  * validation/commit per partition in global commit order (KiloTM-style);
  * empty slices are announced with skip messages so every partition sees
- * a contiguous id sequence.
- *
- * Under the parallel cycle loop the live `nextCommitId++` in the core
- * tick would make ids depend on worker interleaving, so the loop flips
- * the allocator into *staging* mode: startValidation() calls reserve(),
- * which records the request in the core's current replay slot and hands
- * back a sentinel id (reservedBit | per-core sequence number). At the
- * cycle barrier, assignSlot() walks the requests slot-major then in
- * core order — the exact order the serial loop's global core iteration
- * would have reached them — and allocates the real ids, patching each
- * warp and publishing the seq→id mapping so staged WtmValidate/WtmSkip
- * sends can be rewritten before crossbar injection. Commit ids and
- * per-partition admit order are therefore bit-identical to the serial
- * loops at any thread count (docs/PARALLELISM.md).
+ * a contiguous id sequence. Ids are drawn in the cycle loop's core
+ * order, so they are a pure function of the simulated schedule.
  */
 struct WtmShared
 {
     std::uint64_t nextCommitId = 1;
-
-    /** Marks a sentinel id; real ids stay far below this forever. */
-    static constexpr std::uint64_t reservedBit = 1ull << 63;
-    /** Low bits of a sentinel hold the per-core sequence number. */
-    static constexpr std::uint64_t seqMask = 0xffffffffull;
-
-    /** Allocation goes through reserve()/assignSlot() when true. */
-    bool staging = false;
-
-    /** One core's staged requests for the current epoch. */
-    struct CoreStage
-    {
-        struct Request
-        {
-            Warp *warp;
-            std::uint32_t seq;
-        };
-
-        /** Requests bucketed by replay slot (same slots as the send
-         *  stages: 2 per cycle — deliver then tick). */
-        std::vector<std::vector<Request>> slots;
-        /** seq → assigned id; persists for the whole epoch so late
-         *  flushes (rollover double-flush) can still patch sends. */
-        std::vector<std::uint64_t> assigned;
-        std::uint32_t seqNext = 0;
-        /** Replay slot reserve() records into; the loop keeps it in
-         *  lockstep with the core's send-stage bucket. */
-        unsigned cur = 0;
-    };
-
-    std::vector<CoreStage> stages;
-
-    /** Enter staging mode with @p num_slots replay slots per core. */
-    void
-    beginStaging(unsigned num_cores, unsigned num_slots)
-    {
-        staging = true;
-        stages.assign(num_cores, CoreStage{});
-        for (CoreStage &st : stages)
-            st.slots.resize(num_slots);
-    }
-
-    /** Leave staging mode (serial loops allocate live again). */
-    void
-    endStaging()
-    {
-        staging = false;
-        stages.clear();
-    }
-
-    /** Reset per-epoch state; call before each epoch's worker pass. */
-    void
-    resetEpoch()
-    {
-        for (CoreStage &st : stages) {
-            st.seqNext = 0;
-            st.assigned.clear();
-            st.cur = 0;
-        }
-    }
-
-    /**
-     * Worker-side: record a commit-id request for @p warp on @p core
-     * and return the sentinel to use until the barrier assigns the
-     * real id. Only the worker that owns @p core may call this.
-     */
-    std::uint64_t
-    reserve(CoreId core, Warp &warp)
-    {
-        CoreStage &st = stages[core];
-        const std::uint32_t seq = st.seqNext++;
-        st.slots[st.cur].push_back({&warp, seq});
-        return reservedBit | seq;
-    }
-
-    /**
-     * Barrier-side: allocate real ids for every request staged in
-     * replay slot @p slot, visiting cores in id order. Defined in
-     * wtm_core_tm.cc (needs Warp's definition).
-     */
-    void assignSlot(unsigned slot);
-
-    /** Rewrite a staged message id: sentinel → assigned real id. */
-    std::uint64_t
-    patchTxId(CoreId core, std::uint64_t tx_id) const
-    {
-        if (!(tx_id & reservedBit))
-            return tx_id;
-        return stages[core].assigned[tx_id & seqMask];
-    }
 };
 
 /** 64-bit Bloom signature over word addresses (EAPG broadcasts). */

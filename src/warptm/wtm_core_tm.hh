@@ -38,7 +38,7 @@ class WtmCoreTm : public TmCoreProtocol
                   std::uint8_t rd) override;
     void txCommitPoint(Warp &warp) override;
     void onResponse(Warp &warp, const MemMsg &msg) override;
-    bool runDeferredCommits(Cycle now) override;
+    bool runCommitPhase(Cycle now) override;
     void ckptSave(ckpt::Writer &ar) override;
     void ckptLoad(ckpt::Reader &ar) override;
 
@@ -58,9 +58,9 @@ class WtmCoreTm : public TmCoreProtocol
 
     /**
      * The body of the commit point. EagerLazy warps reach it through
-     * the deferred micro-phase (runDeferredCommits) because an EL
-     * commit applies its write log to shared memory core-side — see
-     * TmCoreProtocol::runDeferredCommits. LazyLazy warps run it inline
+     * the commit micro-phase (runCommitPhase) because an EL commit
+     * applies its write log to shared memory core-side — see
+     * TmCoreProtocol::runCommitPhase. LazyLazy warps run it inline
      * from txCommitPoint.
      */
     void finishCommitPoint(Warp &warp);

@@ -39,6 +39,11 @@ TEST(ConfigFile, RejectsUnknownKey)
     EXPECT_FALSE(applyConfigText("coers = 8\n", cfg, error));
     EXPECT_NE(error.find("unknown key"), std::string::npos);
     EXPECT_NE(error.find("coers"), std::string::npos);
+    // The removed parallel-loop knobs must fail loudly, not be ignored.
+    for (const char *text : {"sim_threads = 4\n", "sim_epoch = 8\n"}) {
+        EXPECT_FALSE(applyConfigText(text, cfg, error)) << text;
+        EXPECT_NE(error.find("unknown key"), std::string::npos) << text;
+    }
 }
 
 TEST(ConfigFile, RejectsMalformedLines)

@@ -46,10 +46,6 @@ usage(const char *argv0)
         "  --trace-tx N     trace every Nth transaction per point and\n"
         "                   write DIR/points/<id>.trace.json; spec\n"
         "                   hashes and sweep.json bytes are unchanged\n"
-        "  --sim-threads N  worker threads inside each point's cycle\n"
-        "                   loop (default 1); byte-identical results at\n"
-        "                   any value, clamped so jobs x threads stays\n"
-        "                   within the machine (docs/PARALLELISM.md)\n"
         "  --shard I/N      run only the points whose enumeration index\n"
         "                   is I mod N (deterministic partitioning for\n"
         "                   multi-process/multi-host sweeps); reassemble\n"
@@ -142,13 +138,6 @@ main(int argc, char **argv)
             options.force = true;
         } else if (arg == "--trace-tx") {
             options.traceTx = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--sim-threads") {
-            options.simThreads =
-                static_cast<unsigned>(std::atoi(next()));
-            if (options.simThreads == 0) {
-                std::fprintf(stderr, "--sim-threads must be >= 1\n");
-                return 2;
-            }
         } else if (arg == "--shard") {
             unsigned index = 0, count = 0;
             if (std::sscanf(next(), "%u/%u", &index, &count) != 2 ||

@@ -1,31 +1,21 @@
 # Simulator-throughput check driven by ctest and the perf-smoke CI job:
 # run bench/perf_throughput in smoke mode, validate the emitted
-# BENCH_perf.json (including its --sim-threads scaling curve), and
-# (when a baseline is supplied) fail on a >25% geomean-throughput
-# regression or a >5% single-thread regression on the scaling point.
+# BENCH_perf.json, and (when a baseline is supplied) fail on a >25%
+# geomean-throughput regression.
 #
 # Expected variables:
 #   PERF_BIN      - path to the perf_throughput binary
 #   OUT_JSON      - where to write BENCH_perf.json
 #   BASELINE      - optional path to a baseline BENCH_perf.json; when
 #                   the file does not exist yet it is created from this
-#                   run and the thresholds are skipped (first-run
+#                   run and the threshold is skipped (first-run
 #                   bootstrap).
-#   CHECK_SCALING - when set to a truthy value, require the 4-thread
-#                   row of the scaling curve to reach >= 2x speedup
-#                   over 1 thread. Only the CI job sets this: the
-#                   check needs >= 4 real cores, and on smaller hosts
-#                   the script prints [SKIP-SCALING-CHECK] and moves
-#                   on instead of failing.
 #
-# Wall-clock throughput is machine-dependent, so the thresholds only
-# make sense against a baseline produced on comparable hardware (the
+# Wall-clock throughput is machine-dependent, so the threshold only
+# makes sense against a baseline produced on comparable hardware (the
 # CI job compares against the artifact refreshed in CI). The generous
 # 25% margin plus best-of-N timing inside the harness absorbs normal
-# runner noise; the single-thread guard is tighter (5%) because it
-# compares the same one point best-of-N against itself and exists to
-# catch the parallel loop taxing the serial path (docs/PARALLELISM.md
-# promises the 1-thread configuration stays on the event-driven loop).
+# runner noise.
 
 execute_process(
     COMMAND "${PERF_BIN}" --smoke --out "${OUT_JSON}"
@@ -45,74 +35,6 @@ if(NOT json_error STREQUAL "NOTFOUND")
     message(FATAL_ERROR "bad ${OUT_JSON}: ${json_error}")
 endif()
 message(STATUS "geomean throughput: ${current_geo} cycles/s")
-
-# The scaling curve is part of the report contract: its integer
-# mirrors must always be present and well-formed.
-string(JSON current_t1 ERROR_VARIABLE json_error
-       GET "${current_doc}" thread_scaling t1_cycles_per_sec_int)
-if(NOT json_error STREQUAL "NOTFOUND")
-    message(FATAL_ERROR
-            "bad ${OUT_JSON}: missing thread_scaling curve "
-            "(${json_error})")
-endif()
-string(JSON current_speedup4 ERROR_VARIABLE json_error
-       GET "${current_doc}" thread_scaling speedup_x100_at_4)
-if(NOT json_error STREQUAL "NOTFOUND")
-    message(FATAL_ERROR
-            "bad ${OUT_JSON}: missing thread_scaling speedup mirror "
-            "(${json_error})")
-endif()
-string(JSON host_threads ERROR_VARIABLE json_error
-       GET "${current_doc}" thread_scaling host_hw_threads)
-if(NOT json_error STREQUAL "NOTFOUND")
-    message(FATAL_ERROR
-            "bad ${OUT_JSON}: missing thread_scaling host_hw_threads "
-            "(${json_error})")
-endif()
-math(EXPR speedup4_pct "${current_speedup4}")
-message(STATUS "single-thread rate: ${current_t1} cycles/s; "
-               "4-thread speedup: ${speedup4_pct}/100x on "
-               "${host_threads} hardware threads")
-
-if(CHECK_SCALING)
-    if(host_threads LESS 4)
-        message(STATUS
-                "host has only ${host_threads} hardware thread(s); a "
-                "4-worker speedup target is meaningless here - "
-                "[SKIP-SCALING-CHECK]")
-    else()
-        # Every measured curve must clear the floor: GETM (core-private
-        # state) and WarpTM-LL/EAPG (shared commit ids through the
-        # reservation scheme) alike.
-        string(JSON num_curves ERROR_VARIABLE json_error
-               LENGTH "${current_doc}" thread_scaling_curves)
-        if(NOT json_error STREQUAL "NOTFOUND")
-            message(FATAL_ERROR
-                    "bad ${OUT_JSON}: missing thread_scaling_curves "
-                    "(${json_error})")
-        endif()
-        math(EXPR last_curve "${num_curves} - 1")
-        foreach(i RANGE ${last_curve})
-            string(JSON curve_proto
-                   GET "${current_doc}" thread_scaling_curves ${i}
-                       protocol)
-            string(JSON curve_speedup4
-                   GET "${current_doc}" thread_scaling_curves ${i}
-                       speedup_x100_at_4)
-            if(curve_speedup4 LESS 200)
-                message(FATAL_ERROR
-                        "parallel cycle loop scaling regression "
-                        "(${curve_proto}): --sim-threads 4 reached "
-                        "only ${curve_speedup4}/100x speedup over 1 "
-                        "thread on a ${host_threads}-thread host "
-                        "(required >= 2.00x; see docs/PARALLELISM.md)")
-            endif()
-            message(STATUS
-                    "scaling OK (${curve_proto}): --sim-threads 4 "
-                    "speedup ${curve_speedup4}/100x >= 2.00x")
-        endforeach()
-    endif()
-endif()
 
 if(NOT DEFINED BASELINE OR BASELINE STREQUAL "")
     return()
@@ -141,26 +63,3 @@ if(current_geo LESS threshold)
 endif()
 message(STATUS "throughput OK: ${current_geo} cycles/s vs baseline "
                "${baseline_geo} cycles/s (threshold ${threshold})")
-
-# Single-thread regression guard (5%): the parallel loop must be free
-# when it is off. Baselines written before the scaling curve existed
-# have no thread_scaling section; skip until the baseline refreshes.
-string(JSON baseline_t1 ERROR_VARIABLE json_error
-       GET "${baseline_doc}" thread_scaling t1_cycles_per_sec_int)
-if(NOT json_error STREQUAL "NOTFOUND")
-    message(STATUS "baseline predates the thread_scaling curve; "
-                   "single-thread guard skipped until it refreshes")
-elseif(baseline_t1 GREATER 0)
-    math(EXPR t1_threshold "(19 * ${baseline_t1}) / 20")
-    if(current_t1 LESS t1_threshold)
-        message(FATAL_ERROR
-                "single-thread throughput regression: ${current_t1} "
-                "cycles/s is more than 5% below the baseline "
-                "${baseline_t1} cycles/s (threshold ${t1_threshold}); "
-                "the multi-threaded cycle loop must not tax "
-                "--sim-threads 1 runs (docs/PARALLELISM.md)")
-    endif()
-    message(STATUS "single-thread OK: ${current_t1} cycles/s vs "
-                   "baseline ${baseline_t1} cycles/s (threshold "
-                   "${t1_threshold})")
-endif()

@@ -16,23 +16,81 @@ constexpr char magic[8] = {'G', 'E', 'T', 'M', 'C', 'K', 'P', 'T'};
 constexpr std::size_t headerSize = 8 + 4 + 8 + 8 + 8;
 constexpr std::size_t trailerSize = 4;
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/** Slice-by-16 tables: row k maps a byte to the CRC contribution it
+ *  makes when k zero bytes follow it, so row 0 is the bytewise table. */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables tables{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int bit = 0; bit < 8; ++bit)
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        tables[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < tables.size(); ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            tables[k][i] = (tables[k - 1][i] >> 8) ^
+                           tables[0][tables[k - 1][i] & 0xFF];
+    return tables;
 }
 
-void
-append(std::string &out, const void *data, std::size_t size)
+constexpr CrcTables crcTables = makeCrcTables();
+
+/** Little-endian 32-bit load (one mov on x86; endian-neutral). */
+std::uint32_t
+loadLe32(const unsigned char *p)
 {
-    out.append(static_cast<const char *>(data), size);
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/** The bytes around a payload: file = header + payload + trailer. */
+struct Frame
+{
+    std::array<char, headerSize> header;
+    std::array<char, trailerSize> trailer;
+
+    std::string_view
+    headerBytes() const
+    {
+        return {header.data(), header.size()};
+    }
+
+    std::string_view
+    trailerBytes() const
+    {
+        return {trailer.data(), trailer.size()};
+    }
+};
+
+/** Build @p snap's header and its CRC trailer, the CRC carried from
+ *  the header across the payload. */
+Frame
+frame(const Snapshot &snap)
+{
+    Frame f;
+    char *out = f.header.data();
+    const auto put = [&out](const void *data, std::size_t size) {
+        std::memcpy(out, data, size);
+        out += size;
+    };
+    put(magic, sizeof(magic));
+    const std::uint32_t version = formatVersion;
+    put(&version, sizeof(version));
+    put(&snap.configHash, sizeof(snap.configHash));
+    put(&snap.cycle, sizeof(snap.cycle));
+    const std::uint64_t payload_size = snap.payload.size();
+    put(&payload_size, sizeof(payload_size));
+    const std::uint32_t crc =
+        crc32(snap.payload.data(), snap.payload.size(),
+              crc32(f.header.data(), f.header.size()));
+    std::memcpy(f.trailer.data(), &crc, sizeof(crc));
+    return f;
 }
 
 template <class T>
@@ -54,31 +112,39 @@ fail(const std::string &what, const std::string &why)
 } // namespace
 
 std::uint32_t
-crc32(const void *data, std::size_t size)
+crc32(const void *data, std::size_t size, std::uint32_t crc)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
-    std::uint32_t crc = 0xFFFFFFFFu;
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
+    const CrcTables &t = crcTables;
+    const auto *p = static_cast<const unsigned char *>(data);
+    crc = ~crc;
+    for (; size >= 16; size -= 16, p += 16) {
+        const std::uint32_t a = loadLe32(p) ^ crc;
+        const std::uint32_t b = loadLe32(p + 4);
+        const std::uint32_t c = loadLe32(p + 8);
+        const std::uint32_t d = loadLe32(p + 12);
+        crc = t[15][a & 0xFF] ^ t[14][(a >> 8) & 0xFF] ^
+              t[13][(a >> 16) & 0xFF] ^ t[12][a >> 24] ^
+              t[11][b & 0xFF] ^ t[10][(b >> 8) & 0xFF] ^
+              t[9][(b >> 16) & 0xFF] ^ t[8][b >> 24] ^
+              t[7][c & 0xFF] ^ t[6][(c >> 8) & 0xFF] ^
+              t[5][(c >> 16) & 0xFF] ^ t[4][c >> 24] ^
+              t[3][d & 0xFF] ^ t[2][(d >> 8) & 0xFF] ^
+              t[1][(d >> 16) & 0xFF] ^ t[0][d >> 24];
+    }
+    for (; size > 0; --size, ++p)
+        crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
+    return ~crc;
 }
 
 std::string
 encode(const Snapshot &snap)
 {
+    const Frame f = frame(snap);
     std::string out;
     out.reserve(headerSize + snap.payload.size() + trailerSize);
-    append(out, magic, sizeof(magic));
-    const std::uint32_t version = formatVersion;
-    append(out, &version, sizeof(version));
-    append(out, &snap.configHash, sizeof(snap.configHash));
-    append(out, &snap.cycle, sizeof(snap.cycle));
-    const std::uint64_t payload_size = snap.payload.size();
-    append(out, &payload_size, sizeof(payload_size));
+    out += f.headerBytes();
     out += snap.payload;
-    const std::uint32_t crc = crc32(out.data(), out.size());
-    append(out, &crc, sizeof(crc));
+    out += f.trailerBytes();
     return out;
 }
 
@@ -127,7 +193,7 @@ decode(const std::string &bytes, std::uint64_t expectedConfigHash,
     snap.configHash = readAt<std::uint64_t>(bytes, 12);
     snap.cycle = readAt<std::uint64_t>(bytes, 20);
     if (snap.configHash != expectedConfigHash) {
-        char buf[96];
+        char buf[128];
         std::snprintf(buf, sizeof(buf),
                       "config mismatch (snapshot %016llx, this run "
                       "%016llx) -- wrong workload or configuration",
@@ -135,21 +201,23 @@ decode(const std::string &bytes, std::uint64_t expectedConfigHash,
                       static_cast<unsigned long long>(expectedConfigHash));
         fail(what, buf);
     }
-    snap.payload =
-        bytes.substr(headerSize, static_cast<std::size_t>(payload_size));
+    snap.payload = std::string_view(bytes).substr(
+        headerSize, static_cast<std::size_t>(payload_size));
     return snap;
 }
 
 void
-writeAtomic(const std::string &path, const std::string &bytes)
+writeAtomic(const std::string &path,
+            std::initializer_list<std::string_view> pieces)
 {
     const std::string tmp = path + ".tmp";
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)
             fail(path, "cannot open temp file for writing");
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
+        for (const std::string_view piece : pieces)
+            os.write(piece.data(),
+                     static_cast<std::streamsize>(piece.size()));
         os.flush();
         if (!os)
             fail(path, "short write to temp file");
@@ -161,12 +229,16 @@ writeAtomic(const std::string &path, const std::string &bytes)
 std::string
 readFile(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is)
         fail(path, "cannot open for reading");
-    std::string bytes((std::istreambuf_iterator<char>(is)),
-                      std::istreambuf_iterator<char>());
-    if (is.bad())
+    const std::streamoff size = is.tellg();
+    if (size < 0)
+        fail(path, "read error");
+    std::string bytes(static_cast<std::size_t>(size), '\0');
+    is.seekg(0);
+    is.read(bytes.data(), static_cast<std::streamsize>(size));
+    if (is.gcount() != size)
         fail(path, "read error");
     return bytes;
 }
@@ -190,8 +262,9 @@ writeSnapshot(const std::string &dir, const Snapshot &snap)
                       ec.message() + ")");
     const std::string name = snapshotFileName(snap.cycle);
     const std::string path = dir + "/" + name;
-    writeAtomic(path, encode(snap));
-    writeAtomic(dir + "/" + latestPointerName, name + "\n");
+    const Frame f = frame(snap);
+    writeAtomic(path, {f.headerBytes(), snap.payload, f.trailerBytes()});
+    writeAtomic(dir + "/" + latestPointerName, {name + "\n"});
     return path;
 }
 
@@ -215,12 +288,6 @@ resolveRestorePath(const std::string &pathOrDir)
         return pathOrDir + "/" + name;
     }
     return pathOrDir;
-}
-
-Snapshot
-readSnapshot(const std::string &path, std::uint64_t expectedConfigHash)
-{
-    return decode(readFile(path), expectedConfigHash, path);
 }
 
 } // namespace getm::ckpt

@@ -33,7 +33,9 @@
 #define GETM_CKPT_CHECKPOINT_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 namespace getm::ckpt {
 
@@ -43,16 +45,26 @@ inline constexpr std::uint32_t formatVersion = 2;
 /** Name of the pointer file inside a checkpoint directory. */
 inline constexpr const char *latestPointerName = "latest.ckpt";
 
-/** One decoded snapshot: guard fields plus the raw archive payload. */
+/**
+ * One snapshot: guard fields plus the raw archive payload. The payload
+ * is borrowed, not owned: writeSnapshot() streams it from the caller's
+ * archive buffer and decode() points it into the file bytes it was
+ * given, so neither a save nor a restore copies it.
+ */
 struct Snapshot
 {
     std::uint64_t configHash = 0;
     std::uint64_t cycle = 0;
-    std::string payload;
+    std::string_view payload;
 };
 
-/** CRC-32 (reflected, poly 0xEDB88320), zlib-compatible. */
-std::uint32_t crc32(const void *data, std::size_t size);
+/**
+ * CRC-32 (reflected, poly 0xEDB88320), zlib-compatible, sliced 16
+ * bytes at a time. Pass the CRC of the preceding bytes as @p crc to
+ * carry it across pieces: crc32(b, crc32(a)) == crc32(a + b).
+ */
+std::uint32_t crc32(const void *data, std::size_t size,
+                    std::uint32_t crc = 0);
 
 /** Render a snapshot as complete file bytes (header+payload+CRC). */
 std::string encode(const Snapshot &snap);
@@ -60,25 +72,33 @@ std::string encode(const Snapshot &snap);
 /**
  * Parse and validate file bytes. @p expectedConfigHash guards against
  * restoring into the wrong configuration; @p what names the source in
- * diagnostics (usually the file path). Throws
+ * diagnostics (usually the file path). The returned payload views
+ * @p bytes, which must outlive it. Throws
  * SimError(SimErrorKind::Checkpoint) on any defect.
  */
 Snapshot decode(const std::string &bytes, std::uint64_t expectedConfigHash,
                 const std::string &what);
+/** A temporary would leave the decoded payload dangling. */
+Snapshot decode(std::string &&bytes, std::uint64_t expectedConfigHash,
+                const std::string &what) = delete;
 
-/** Write bytes to "<path>.tmp" then rename into place. */
-void writeAtomic(const std::string &path, const std::string &bytes);
+/** Write @p pieces back to back to "<path>.tmp", flush, then rename
+ *  into place. */
+void writeAtomic(const std::string &path,
+                 std::initializer_list<std::string_view> pieces);
 
-/** Read a whole file; throws SimError(Checkpoint) if unreadable. */
+/** Read a whole file in one call; throws SimError(Checkpoint) if
+ *  unreadable. */
 std::string readFile(const std::string &path);
 
 /** "ckpt-<cycle padded to 12>.ckpt" (sorts in cycle order). */
 std::string snapshotFileName(std::uint64_t cycle);
 
 /**
- * Encode @p snap into "<dir>/ckpt-<cycle>.ckpt" (creating @p dir if
- * needed) and republish the latest.ckpt pointer. Returns the path
- * written.
+ * Stream @p snap's header, payload and CRC trailer into
+ * "<dir>/ckpt-<cycle>.ckpt" (creating @p dir if needed; the bytes are
+ * exactly encode(snap)) and republish the latest.ckpt pointer. Returns
+ * the path written.
  */
 std::string writeSnapshot(const std::string &dir, const Snapshot &snap);
 
@@ -88,10 +108,6 @@ std::string writeSnapshot(const std::string &dir, const Snapshot &snap);
  * SimError(Checkpoint) when nothing restorable is there.
  */
 std::string resolveRestorePath(const std::string &pathOrDir);
-
-/** readFile + decode in one step. */
-Snapshot readSnapshot(const std::string &path,
-                      std::uint64_t expectedConfigHash);
 
 } // namespace getm::ckpt
 

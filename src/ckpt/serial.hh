@@ -45,6 +45,7 @@
 #include <memory>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
@@ -82,6 +83,13 @@ class Writer
 
     std::string take() { return std::move(buffer); }
     std::size_t size() const { return buffer.size(); }
+
+    /** The bytes written since construction or the last clear(). */
+    std::string_view bytes() const { return buffer; }
+
+    /** Start a new archive, keeping the buffer's capacity so a
+     *  writer reused across snapshots allocates only when one grows. */
+    void clear() { buffer.clear(); }
 
   private:
     std::string buffer;

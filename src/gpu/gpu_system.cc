@@ -778,15 +778,12 @@ GpuSystem::ckptMachine(Ar &ar)
 void
 GpuSystem::saveCheckpoint(Cycle now)
 {
-    ckpt::Writer ar;
-    ckptMachine(ar);
-    ckpt::Snapshot snap;
-    snap.configHash = ckptHash;
-    snap.cycle = now;
-    snap.payload = ar.take();
+    ckptArchive.clear();
+    ckptMachine(ckptArchive);
     const std::string dir =
         cfg.ckptDir.empty() ? std::string(".") : cfg.ckptDir;
-    const std::string path = ckpt::writeSnapshot(dir, snap);
+    const std::string path = ckpt::writeSnapshot(
+        dir, {ckptHash, now, ckptArchive.bytes()});
     inform("checkpoint written to %s (cycle %llu)", path.c_str(),
            static_cast<unsigned long long>(now));
 }
@@ -795,7 +792,8 @@ void
 GpuSystem::restoreFromSnapshot()
 {
     const std::string path = ckpt::resolveRestorePath(cfg.restorePath);
-    const ckpt::Snapshot snap = ckpt::readSnapshot(path, ckptHash);
+    const std::string bytes = ckpt::readFile(path);
+    const ckpt::Snapshot snap = ckpt::decode(bytes, ckptHash, path);
     ckpt::Reader ar(snap.payload.data(), snap.payload.size());
     ckptMachine(ar);
     if (ar.remaining() != 0)

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "check/violation.hh"
+#include "ckpt/serial.hh"
 #include "common/sim_error.hh"
 #include "core/getm_partition.hh"
 #include "gpu/gpu_config.hh"
@@ -241,6 +242,11 @@ class GpuSystem
     /** Next warp to assign (run()'s work source; checkpointed so a
      *  restored run keeps pulling from where the snapshot stopped). */
     std::uint64_t warpCursor = 0;
+
+    /** Archive buffer every snapshot of this machine is serialized
+     *  into: cleared, not freed, between snapshots, so only the first
+     *  one allocates and page-faults a payload-sized buffer. */
+    ckpt::Writer ckptArchive;
 
     /** This run's checkpoint compatibility hash (set by run()). */
     std::uint64_t ckptHash = 0;

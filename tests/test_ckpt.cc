@@ -168,6 +168,50 @@ TEST(CkptFormat, WrongConfigHashIsTyped)
               std::string::npos);
 }
 
+TEST(CkptFormat, Crc32KnownAnswers)
+{
+    EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(ckpt::crc32(nullptr, 0), 0u);
+
+    // The sliced CRC must agree with the bit-serial definition
+    // at every length around its 16-byte stride and every alignment.
+    const auto reference = [](const unsigned char *p, std::size_t n) {
+        std::uint32_t crc = 0xFFFFFFFFu;
+        for (std::size_t i = 0; i < n; ++i) {
+            crc ^= p[i];
+            for (int bit = 0; bit < 8; ++bit)
+                crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+        }
+        return crc ^ 0xFFFFFFFFu;
+    };
+    std::vector<unsigned char> data((5 << 20) + 77);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (unsigned char &byte : data) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        byte = static_cast<unsigned char>(x);
+    }
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 64; ++len)
+            EXPECT_EQ(ckpt::crc32(data.data() + offset, len),
+                      reference(data.data() + offset, len))
+                << "offset " << offset << " length " << len;
+    const std::uint32_t whole = ckpt::crc32(data.data(), data.size());
+    EXPECT_EQ(whole, reference(data.data(), data.size()));
+
+    // Carried across split pieces, it equals the one-shot CRC.
+    for (const std::size_t split : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{36}, std::size_t{4099},
+                                    data.size()}) {
+        const std::uint32_t head = ckpt::crc32(data.data(), split);
+        EXPECT_EQ(ckpt::crc32(data.data() + split, data.size() - split,
+                              head),
+                  whole)
+            << "split at " << split;
+    }
+}
+
 // --------------------------------------------------------------------------
 // Atomic publication and the latest.ckpt pointer
 // --------------------------------------------------------------------------
@@ -185,13 +229,35 @@ TEST(CkptFiles, WriteSnapshotPublishesLatestPointer)
     // The pointer always names the newest snapshot; the older file
     // stays on disk and restorable by explicit path.
     EXPECT_EQ(ckpt::resolveRestorePath(dir), second);
+    const std::string first_bytes = ckpt::readFile(first);
     const ckpt::Snapshot back =
-        ckpt::readSnapshot(first, snap.configHash);
+        ckpt::decode(first_bytes, snap.configHash, first);
     EXPECT_EQ(back.cycle, 4242u);
     // No .tmp intermediates survive an orderly publication.
     for (const auto &entry :
          std::filesystem::directory_iterator(dir))
         EXPECT_NE(entry.path().extension(), ".tmp");
+}
+
+TEST(CkptFiles, StreamedFileMatchesEncode)
+{
+    // writeSnapshot streams header, payload and trailer to the file
+    // piece by piece; the published bytes must be exactly encode()'s.
+    const std::string dir = scratchDir("streamed");
+    std::string payload(3 << 20, '\0');
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<char>((i * 2654435761u) >> 13);
+    ckpt::Snapshot snap = sampleSnapshot();
+    snap.payload = payload;
+
+    const std::string path = ckpt::writeSnapshot(dir, snap);
+    const std::string bytes = ckpt::readFile(path);
+    EXPECT_TRUE(bytes == ckpt::encode(snap));
+    const ckpt::Snapshot back = ckpt::decode(bytes, snap.configHash, path);
+    EXPECT_EQ(back.configHash, snap.configHash);
+    EXPECT_EQ(back.cycle, snap.cycle);
+    EXPECT_TRUE(back.payload == snap.payload);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST(CkptFiles, EmptyDirectoryHasNothingRestorable)

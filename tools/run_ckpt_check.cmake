@@ -17,6 +17,12 @@
 # Runs are executed inside per-run working directories so relative
 # side-file paths -- which appear in stdout -- are identical bytes.
 #
+# A second check guards the archive buffer a machine reuses across its
+# snapshots: HT-H/GETM checkpointed every 400 and every 800 cycles
+# must write byte-identical files for every cycle both runs
+# snapshotted. A buffer that carried stale bytes from one snapshot
+# into the next would make the two cadences disagree.
+#
 # Expected variables:
 #   SIM_BIN - path to the getm-sim binary
 #   OUT_DIR - writable scratch directory
@@ -106,3 +112,46 @@ foreach(protocol getm warptm warptm-el eapg)
                 "byte-identical")
     endforeach()
 endforeach()
+
+set(cadence_dir "${work_dir}/cadence")
+foreach(cadence 400 800)
+    set(run_dir "${cadence_dir}/every${cadence}")
+    file(MAKE_DIRECTORY "${run_dir}")
+    execute_process(
+        COMMAND "${SIM_BIN}" --bench HT-H --protocol getm --scale 0.05
+                --checkpoint-every ${cadence} --checkpoint-dir ckpt
+        WORKING_DIRECTORY "${run_dir}"
+        RESULT_VARIABLE sim_status
+        OUTPUT_QUIET
+        ERROR_VARIABLE sim_stderr)
+    if(NOT sim_status EQUAL 0)
+        message(FATAL_ERROR
+                "checkpoint cadence ${cadence} run failed "
+                "(${sim_status}):\n${sim_stderr}")
+    endif()
+endforeach()
+
+# Every cycle the 800 run snapshotted, the 400 run snapshotted too: it
+# reaches each multiple of 800 with its own snapshot due.
+file(GLOB sparse_snapshots RELATIVE "${cadence_dir}/every800/ckpt"
+     "${cadence_dir}/every800/ckpt/ckpt-*.ckpt")
+list(LENGTH sparse_snapshots shared)
+if(shared EQUAL 0)
+    message(FATAL_ERROR "checkpoint cadence 800 wrote no snapshot")
+endif()
+foreach(name ${sparse_snapshots})
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                "${cadence_dir}/every400/ckpt/${name}"
+                "${cadence_dir}/every800/ckpt/${name}"
+        RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+        message(FATAL_ERROR
+                "${name} differs between --checkpoint-every 400 and "
+                "800 (or is missing from the 400 run): a snapshot "
+                "depends on the snapshots written before it")
+    endif()
+endforeach()
+message(STATUS
+        "checkpoint cadences 400 and 800: ${shared} shared snapshots "
+        "are byte-identical")

@@ -30,13 +30,15 @@ struct Outcome
 
 Outcome
 runWith(BenchId bench, ProtocolKind protocol, bool legacy,
-        unsigned check_level = 0, std::uint64_t trace_tx = 0)
+        unsigned check_level = 0, std::uint64_t trace_tx = 0,
+        LogicalTs rollover_threshold = ~static_cast<LogicalTs>(0))
 {
     GpuConfig cfg = GpuConfig::testRig();
     cfg.protocol = protocol;
     cfg.legacyLoop = legacy;
     cfg.checkLevel = check_level;
     cfg.traceTx = trace_tx;
+    cfg.rolloverThreshold = rollover_threshold;
     GpuSystem gpu(cfg);
     auto workload = makeWorkload(bench, 0.01, 123);
     workload->setup(gpu, protocol == ProtocolKind::FgLock);
@@ -50,11 +52,15 @@ runWith(BenchId bench, ProtocolKind protocol, bool legacy,
     return outcome;
 }
 
-void
-expectIdentical(BenchId bench, ProtocolKind protocol)
+/** Returns the reference-loop outcome for further checks. */
+Outcome
+expectIdentical(BenchId bench, ProtocolKind protocol,
+                LogicalTs rollover_threshold = ~static_cast<LogicalTs>(0))
 {
-    const Outcome legacy = runWith(bench, protocol, true);
-    const Outcome event = runWith(bench, protocol, false);
+    const Outcome legacy =
+        runWith(bench, protocol, true, 0, 0, rollover_threshold);
+    const Outcome event =
+        runWith(bench, protocol, false, 0, 0, rollover_threshold);
     const char *name = protocolName(protocol);
 
     EXPECT_EQ(event.run.cycles, legacy.run.cycles) << name;
@@ -66,6 +72,7 @@ expectIdentical(BenchId bench, ProtocolKind protocol)
     EXPECT_EQ(event.run.rollovers, legacy.run.rollovers) << name;
     EXPECT_EQ(event.run.maxLogicalTs, legacy.run.maxLogicalTs) << name;
     EXPECT_EQ(event.statsDump, legacy.statsDump) << name;
+    return legacy;
 }
 
 /**
@@ -142,6 +149,16 @@ TEST(SchedulerEquivalence, GetmLowContention)
     // A sparser workload exercises long idle gaps, where the event
     // loop actually skips cycles instead of degenerating to +1 steps.
     expectIdentical(BenchId::Atm, ProtocolKind::Getm);
+}
+
+TEST(SchedulerEquivalence, GetmRollover)
+{
+    // A rollover freezes, aborts, flushes and stalls components from
+    // outside their tick(); the event loop must refresh exactly the
+    // wakes the rollover touched.
+    const Outcome outcome = expectIdentical(BenchId::HtH, ProtocolKind::Getm,
+                                            /*rollover_threshold=*/2);
+    EXPECT_GT(outcome.run.rollovers, 0u);
 }
 
 TEST(SchedulerEquivalence, WarpTmLL)

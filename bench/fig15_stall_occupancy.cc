@@ -38,8 +38,8 @@ main()
         spec.gpu.getmStall.lines = 64;
         spec.gpu.getmStall.entriesPerLine = 64;
         const BenchOutcome outcome = runBench(spec);
-        // The observability layer tracks insertions/releases through the
-        // common sink; it must agree with the legacy tracker.
+        // The observability layer counts the GPU-wide peak from the
+        // stall insertions/releases every partition reports.
         const unsigned peak = outcome.run.obs.stallPeakOccupancy;
         std::printf("%-8s %16u %12llu stalls\n", benchName(bench), peak,
                     static_cast<unsigned long long>(

@@ -3,7 +3,13 @@
  * Tutorial: plugging a custom TM protocol into the simulator.
  *
  * The simulator's protocol engines implement TmCoreProtocol (core side)
- * and, when they need LLC-side machinery, TmPartitionProtocol. This
+ * and, when they need LLC-side machinery, TmPartitionProtocol. State
+ * that spans the whole GPU -- a global commit-id counter, GETM's
+ * timestamp-rollover coordinator -- goes in a TmGpuProtocol
+ * (simt/tm_iface.hh), which GpuSystem::wireProtocol() creates beside the
+ * other engines and whose hooks the cycle loop calls each cycle, at
+ * checkpoints, in diagnostics and at the end of a run. IdealTM needs no
+ * GPU-wide state, so it only implements TmCoreProtocol. This
  * example implements "IdealTM" -- a zero-overhead transactional memory
  * whose accesses are free and whose commits validate and apply
  * instantaneously at the core. It is obviously not buildable hardware;
@@ -77,7 +83,7 @@ class IdealTm : public TmCoreProtocol
                 }
         }
         if (failed)
-            core.abortTxLanes(warp, failed, warp.warpts);
+            core.abortTxLanes(warp, failed, AbortReason::Validation);
 
         // Apply the winners' write logs atomically, right now.
         const LaneMask committed = committers & ~failed;

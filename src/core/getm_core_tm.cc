@@ -1,12 +1,25 @@
 #include "core/getm_core_tm.hh"
 
+#include <algorithm>
 #include <bit>
 #include <map>
 
 #include "common/debug.hh"
 #include "common/log.hh"
+#include "common/sim_error.hh"
+#include "gpu/run_result.hh"
 
 namespace getm {
+
+void
+GetmCoreTm::onTxBegin(Warp &warp)
+{
+    // Re-stamp the persisted slot timestamp with this warp's id: fresh
+    // slots start at clock 0, and a relaunched slot may now host a
+    // different warp (uniqueness is per *active* warp id).
+    warp.warpts = composeTs(tsClock(warp.warpts), warp.gwid);
+    warp.maxObservedTs = warp.warpts;
+}
 
 void
 GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
@@ -60,8 +73,8 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
     }
 
     if (intra_aborts)
-        core.abortTxLanes(warp, intra_aborts, warp.warpts,
-                          AbortReason::IntraWarp, intra_addr);
+        core.abortTxLanes(warp, intra_aborts, AbortReason::IntraWarp,
+                          intra_addr);
 
     // Group remote accesses by metadata granule; one VU request each.
     LaneMask pending = remote;
@@ -123,7 +136,7 @@ GetmCoreTm::onResponse(Warp &warp, const MemMsg &msg)
         } else {
             // The validation unit decided the reason; it rides back in
             // the response.
-            core.abortTxLanes(warp, lanes, msg.ts,
+            core.abortTxLanes(warp, lanes,
                               static_cast<AbortReason>(msg.reason),
                               msg.addr);
         }
@@ -134,7 +147,7 @@ GetmCoreTm::onResponse(Warp &warp, const MemMsg &msg)
             for (const LaneOp &op : msg.ops)
                 warp.granted[op.lane][msg.addr] += op.aux;
         } else {
-            core.abortTxLanes(warp, lanes, msg.ts,
+            core.abortTxLanes(warp, lanes,
                               static_cast<AbortReason>(msg.reason),
                               msg.addr);
         }
@@ -212,6 +225,109 @@ GetmCoreTm::txCommitPoint(Warp &warp)
     // Eager conflict detection guarantees success: the commit is off the
     // critical path and the warp retires (or retries aborted lanes) now.
     core.retireTxAttempt(warp, committers);
+    // The retry, or the slot's next transaction, runs logically after
+    // every timestamp this attempt observed.
+    warp.warpts = composeTs(tsClock(warp.maxObservedTs) + 1, warp.gwid);
+    warp.maxObservedTs = warp.warpts;
+}
+
+bool
+GetmGpuTm::endCycle(Cycle now, WakeRefresh &refresh)
+{
+    if (threshold == ~static_cast<LogicalTs>(0))
+        return false;
+    // The event loop skips not-due cores, whose clocks would otherwise
+    // lag the rollover's forced aborts.
+    for (auto &core : cores)
+        core->syncClock(now);
+    // Both transitions change cores (freeze/thaw, forced aborts) and
+    // partitions (flush, pipeline stall) outside their tick().
+    if (pending ? completeRollover(now) : beginRollover(now))
+        refresh.all = true;
+    return pending;
+}
+
+bool
+GetmGpuTm::beginRollover(Cycle now)
+{
+    LogicalTs max_ts = 0;
+    for (GetmPartitionUnit *unit : units)
+        max_ts = std::max(max_ts, unit->maxTimestamp());
+    // Timestamps embed the warp id below tsWarpIdBits; the threshold is
+    // expressed in logical-clock epochs.
+    if (tsClock(max_ts) < threshold)
+        return false;
+    // Freeze transactional progress and force all in-flight attempts to
+    // abort and release their reservations.
+    pending = true;
+    for (auto &core : cores) {
+        core->setTxFrozen(true);
+        for (Warp &warp : core->allWarps()) {
+            if (!warp.inTx)
+                continue;
+            const int txi = warp.transactionIndex();
+            if (txi >= 0 && warp.stack[txi].mask)
+                core->abortTxLanes(warp, warp.stack[txi].mask,
+                                   AbortReason::Rollover, invalidAddr);
+        }
+    }
+    inform("GETM timestamp rollover initiated at cycle %llu",
+           static_cast<unsigned long long>(now));
+    return true;
+}
+
+bool
+GetmGpuTm::completeRollover(Cycle now)
+{
+    for (const auto &core : cores)
+        if (!core->quiescent())
+            return false;
+    for (GetmPartitionUnit *unit : units)
+        if (unit->metadata().lockedCount() ||
+            unit->stallBuffer().occupancy())
+            return false;
+
+    for (GetmPartitionUnit *unit : units)
+        unit->flushForRollover(now, penalty);
+    for (auto &core : cores) {
+        for (Warp &warp : core->allWarps()) {
+            warp.warpts = 0;
+            warp.maxObservedTs = 0;
+        }
+        core->setTxFrozen(false);
+    }
+    pending = false;
+    ++rollovers;
+    inform("GETM timestamp rollover completed at cycle %llu",
+           static_cast<unsigned long long>(now));
+    return true;
+}
+
+void
+GetmGpuTm::diagnose(SimDiagnostic &diag)
+{
+    for (std::size_t p = 0; p < units.size(); ++p) {
+        SimDiagnostic::PartitionRow row;
+        row.partition = static_cast<unsigned>(p);
+        row.metaOccupancy = units[p]->metadata().occupancy();
+        row.metaLocked = units[p]->metadata().lockedCount();
+        row.stallOccupancy = units[p]->stallBuffer().occupancy();
+        diag.partitions.push_back(row);
+    }
+}
+
+void
+GetmGpuTm::finishRun(RunResult &result)
+{
+    result.rollovers = rollovers;
+    // Report the logical-clock component: raw timestamps embed the warp
+    // id in their low tsWarpIdBits for uniqueness.
+    for (GetmPartitionUnit *unit : units) {
+        result.maxLogicalTs =
+            std::max(result.maxLogicalTs, tsClock(unit->maxTimestamp()));
+        result.stats.merge(unit->metadata().stats());
+        result.stats.merge(unit->stallBuffer().stats());
+    }
 }
 
 } // namespace getm

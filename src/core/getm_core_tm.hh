@@ -1,6 +1,7 @@
 /**
  * @file
- * Core-side GETM protocol engine.
+ * Core-side GETM protocol engine, and GETM's GPU-scope engine
+ * (timestamp rollover).
  *
  * Every transactional access is checked eagerly: first against the
  * warp's own logs (intra-warp conflict detection), then -- for accesses
@@ -14,6 +15,12 @@
 #ifndef GETM_CORE_GETM_CORE_TM_HH
 #define GETM_CORE_GETM_CORE_TM_HH
 
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "ckpt/serial.hh"
+#include "core/getm_partition.hh"
 #include "simt/simt_core.hh"
 #include "simt/tm_iface.hh"
 
@@ -34,6 +41,7 @@ class GetmCoreTm : public TmCoreProtocol
     {
     }
 
+    void onTxBegin(Warp &warp) override;
     void txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
                   const LaneVals &vals, LaneMask lanes,
                   std::uint8_t rd) override;
@@ -49,6 +57,56 @@ class GetmCoreTm : public TmCoreProtocol
     StatSet::Counter &stLoadReqs;
     StatSet::Counter &stCommitMsgs;
     StatSet::Counter &stCleanupMsgs;
+};
+
+/**
+ * GETM's GPU-scope engine: logical-timestamp rollover (paper Sec. V-B1)
+ * and the GETM rows of diagnostics and run results.
+ *
+ * Logical timestamps only grow. Once the highest timestamp any
+ * partition has seen passes the rollover threshold, transactional
+ * progress freezes and every running attempt aborts. When the cores are
+ * quiescent and no reservation or stalled request remains, every
+ * partition flushes its metadata and stalls its validation pipeline,
+ * every warp slot's warpts restarts at zero, and the cores thaw.
+ */
+class GetmGpuTm : public TmGpuProtocol
+{
+  public:
+    /**
+     * @param threshold Logical-clock epoch that starts a rollover
+     *                  (~0: never).
+     * @param penalty   Validation-pipeline stall of one rollover.
+     */
+    GetmGpuTm(const std::vector<std::unique_ptr<SimtCore>> &cores_,
+              std::vector<GetmPartitionUnit *> units_, LogicalTs threshold_,
+              Cycle penalty_)
+        : cores(cores_), units(std::move(units_)),
+          threshold(threshold_), penalty(penalty_)
+    {
+    }
+
+    /** Advance the rollover state machine; true while one is pending. */
+    bool endCycle(Cycle now, WakeRefresh &refresh) override;
+    void ckptSave(ckpt::Writer &ar) override { ar(pending, rollovers); }
+    void ckptLoad(ckpt::Reader &ar) override { ar(pending, rollovers); }
+    void diagnose(SimDiagnostic &diag) override;
+    void finishRun(RunResult &result) override;
+
+  private:
+    /** Freeze and abort everything if the clock passed the threshold;
+     *  true if a rollover began. */
+    bool beginRollover(Cycle now);
+
+    /** Flush, reset and thaw once quiescent; true if it completed. */
+    bool completeRollover(Cycle now);
+
+    const std::vector<std::unique_ptr<SimtCore>> &cores;
+    std::vector<GetmPartitionUnit *> units;
+    LogicalTs threshold;
+    Cycle penalty;
+    bool pending = false;
+    std::uint64_t rollovers = 0;
 };
 
 } // namespace getm

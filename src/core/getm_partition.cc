@@ -351,7 +351,7 @@ GetmPartitionUnit::releaseWaiters(Addr granule, Cycle now)
 }
 
 void
-GetmPartitionUnit::flushForRollover(Cycle now)
+GetmPartitionUnit::flushForRollover(Cycle now, Cycle penalty)
 {
     traceNow = now;
     // Balance the sink's live-occupancy gauge for dropped waiters.
@@ -367,6 +367,7 @@ GetmPartitionUnit::flushForRollover(Cycle now)
         });
     stall.flush();
     meta.flush();
+    ctx.addPipelineStall(now, penalty);
 }
 
 void

@@ -48,8 +48,11 @@ class GetmPartitionUnit : public TmPartitionProtocol
     /** Highest logical timestamp seen (rollover detection). */
     LogicalTs maxTimestamp() const { return meta.maxTimestamp(); }
 
-    /** Reset all metadata (timestamp rollover) at cycle @p now. */
-    void flushForRollover(Cycle now = 0);
+    /**
+     * Timestamp rollover at cycle @p now: reset all metadata and stall
+     * the partition's validation pipeline for @p penalty cycles.
+     */
+    void flushForRollover(Cycle now = 0, Cycle penalty = 0);
 
     MetadataTable &metadata() { return meta; }
     StallBuffer &stallBuffer() { return stall; }

@@ -81,7 +81,6 @@ class RecencyBloom
     /** Reset (timestamp rollover). */
     void flush();
 
-    unsigned entriesPerWay() const { return wayEntries; }
     static constexpr unsigned numWays = 4;
 
     /** Checkpoint hook: bucket contents (hashes come from the seed). */

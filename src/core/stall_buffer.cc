@@ -52,8 +52,6 @@ StallBuffer::enqueue(Addr key, MemMsg &&msg, Cycle now)
         return false;
     }
     line->entries.push_back(Waiter{std::move(msg), now});
-    if (tracker)
-        tracker->add();
     stEnqueues.add();
     stOccupancy.track(occupancy());
     stWaitersPerAddr.addSample(
@@ -83,8 +81,6 @@ StallBuffer::popOldest(Addr key, Cycle *enqueued_at)
         *enqueued_at = line->entries[best].enqueuedAt;
     line->entries.erase(line->entries.begin() +
                         static_cast<std::ptrdiff_t>(best));
-    if (tracker)
-        tracker->remove();
     return msg;
 }
 
@@ -129,12 +125,8 @@ StallBuffer::waitersOn(Addr key) const
 void
 StallBuffer::flush()
 {
-    for (Line &line : lines) {
-        if (tracker)
-            for (std::size_t i = 0; i < line.entries.size(); ++i)
-                tracker->remove();
+    for (Line &line : lines)
         line.entries.clear();
-    }
 }
 
 } // namespace getm

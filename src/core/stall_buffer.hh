@@ -24,29 +24,6 @@
 
 namespace getm {
 
-/**
- * GPU-wide stall-buffer occupancy tracker (Fig. 15 measures the total
- * across all partitions at any instant).
- */
-struct StallOccupancyTracker
-{
-    unsigned current = 0;
-    unsigned peak = 0;
-
-    void
-    add()
-    {
-        if (++current > peak)
-            peak = current;
-    }
-
-    void
-    remove()
-    {
-        --current;
-    }
-};
-
 /** Per-partition stall buffer. */
 class StallBuffer
 {
@@ -101,9 +78,6 @@ class StallBuffer
 
     StatSet &stats() { return statSet; }
 
-    /** Attach a GPU-wide occupancy tracker (may be null). */
-    void setTracker(StallOccupancyTracker *t) { tracker = t; }
-
     /** Checkpoint hook: every parked request plus stats. */
     template <class Ar>
     void
@@ -134,7 +108,6 @@ class StallBuffer
 
     Config cfg;
     std::vector<Line> lines;
-    StallOccupancyTracker *tracker = nullptr;
     StatSet statSet;
 
     // Hot-path stat handles: enqueue() fires these per stalled request.

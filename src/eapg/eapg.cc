@@ -21,6 +21,7 @@ EapgPartitionUnit::onValidationStart(const MemMsg &slice, Cycle now)
     // conflict check against it is precise and instantaneous.
     MemMsg proto;
     proto.kind = MsgKind::EapgSignature;
+    proto.warpSlot = noWarpSlot;
     proto.partition = ctx.partitionId();
     proto.txId = slice.txId;
     // Carry the committing writer's id so early-aborted readers can
@@ -47,6 +48,7 @@ EapgPartitionUnit::onDecisionApplied(std::uint64_t tx_id, Cycle now)
     for (CoreId core = 0; core < ctx.numCores(); ++core) {
         MemMsg bcast;
         bcast.kind = MsgKind::EapgCommitDone;
+        bcast.warpSlot = noWarpSlot;
         bcast.core = core;
         bcast.partition = ctx.partitionId();
         bcast.txId = tx_id;
@@ -121,8 +123,8 @@ EapgCoreTm::onBroadcast(const MemMsg &msg)
         if (hit) {
             stEarlyAborts.add(
                 static_cast<std::uint64_t>(std::popcount(hit)));
-            core.abortTxLanes(warp, hit, warp.warpts,
-                              AbortReason::EarlyAbort, conflict);
+            core.abortTxLanes(warp, hit, AbortReason::EarlyAbort,
+                              conflict);
         }
     }
 }

@@ -58,8 +58,8 @@ class EapgPartitionUnit : public WtmPartitionUnit
 class EapgCoreTm : public WtmCoreTm
 {
   public:
-    EapgCoreTm(SimtCore &core_, std::shared_ptr<WtmShared> shared_)
-        : WtmCoreTm(core_, std::move(shared_), WtmMode::LazyLazy),
+    EapgCoreTm(SimtCore &core_, WtmGpuTm &gpu_)
+        : WtmCoreTm(core_, gpu_, WtmMode::LazyLazy),
           stEarlyAborts(core_.stats().addCounter("eapg_early_aborts")),
           stPauses(core_.stats().addCounter("eapg_pauses"))
     {

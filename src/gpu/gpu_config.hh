@@ -7,7 +7,9 @@
 #define GETM_GPU_GPU_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/getm_partition.hh"
 #include "mem/dram_model.hh"
@@ -29,6 +31,14 @@ enum class ProtocolKind : std::uint8_t
 
 /** Human-readable protocol name. */
 const char *protocolName(ProtocolKind kind);
+
+/**
+ * Parse a protocol name, case-insensitively: every protocolName() plus
+ * the aliases "warptm" (WarpTM-LL), "el" (WarpTM-EL) and "lock"
+ * (FGLock). Returns nullopt for an unknown name. Both CLIs and the
+ * sweep manifest parser use it.
+ */
+std::optional<ProtocolKind> parseProtocol(std::string_view name);
 
 /** Full simulated-GPU configuration. */
 struct GpuConfig

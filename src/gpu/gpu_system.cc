@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "check/checker.hh"
 #include "check/fault.hh"
@@ -15,22 +17,45 @@
 #include "core/getm_core_tm.hh"
 #include "gpu/config_file.hh"
 #include "eapg/eapg.hh"
-#include "warptm/wtm_core_tm.hh"
-#include "warptm/wtm_partition.hh"
 
 namespace getm {
+
+namespace {
+
+using PK = ProtocolKind;
+
+/** The protocol-name table: canonical names first, then aliases. */
+constexpr std::pair<std::string_view, ProtocolKind> protocolNames[] = {
+    {"FGLock", PK::FgLock},      {"GETM", PK::Getm},
+    {"WarpTM-LL", PK::WarpTmLL}, {"WarpTM-EL", PK::WarpTmEL},
+    {"EAPG", PK::Eapg},          {"warptm", PK::WarpTmLL},
+    {"el", PK::WarpTmEL},        {"lock", PK::FgLock},
+};
+
+} // namespace
 
 const char *
 protocolName(ProtocolKind kind)
 {
-    switch (kind) {
-      case ProtocolKind::FgLock: return "FGLock";
-      case ProtocolKind::Getm: return "GETM";
-      case ProtocolKind::WarpTmLL: return "WarpTM-LL";
-      case ProtocolKind::WarpTmEL: return "WarpTM-EL";
-      case ProtocolKind::Eapg: return "EAPG";
-    }
+    for (const auto &[name, k] : protocolNames)
+        if (k == kind)
+            return name.data();
     return "?";
+}
+
+std::optional<ProtocolKind>
+parseProtocol(std::string_view name)
+{
+    const auto lower = [](char ch) {
+        return std::tolower(static_cast<unsigned char>(ch));
+    };
+    for (const auto &[candidate, kind] : protocolNames)
+        if (std::equal(name.begin(), name.end(), candidate.begin(),
+                       candidate.end(), [&](char a, char b) {
+                           return lower(a) == lower(b);
+                       }))
+            return kind;
+    return std::nullopt;
 }
 
 GpuConfig
@@ -256,6 +281,10 @@ GpuSystem::~GpuSystem() = default;
 void
 GpuSystem::wireProtocol()
 {
+    const auto unit_name = [](const MemPartition &part, const char *proto) {
+        return "part" + std::to_string(part.partitionId()) + "." + proto;
+    };
+
     switch (cfg.protocol) {
       case ProtocolKind::FgLock:
         break; // no TM hardware
@@ -272,42 +301,43 @@ GpuSystem::wireProtocol()
         part_cfg.granule = cfg.getmGranule;
         for (auto &core : coreArray)
             core->setProtocol(std::make_unique<GetmCoreTm>(*core));
+        std::vector<GetmPartitionUnit *> units;
         for (auto &part : partArray) {
             auto unit = std::make_unique<GetmPartitionUnit>(
-                *part, part_cfg,
-                "part" + std::to_string(part->partitionId()) + ".getm");
-            unit->stallBuffer().setTracker(&stallTracker);
-            getmUnits.push_back(unit.get());
+                *part, part_cfg, unit_name(*part, "getm"));
+            units.push_back(unit.get());
             part->setProtocol(std::move(unit));
         }
+        gpuProtocol = std::make_unique<GetmGpuTm>(
+            coreArray, std::move(units), cfg.rolloverThreshold,
+            cfg.rolloverPenalty);
         break;
       }
 
       case ProtocolKind::WarpTmLL:
       case ProtocolKind::WarpTmEL: {
-        wtmShared = std::make_shared<WtmShared>();
+        auto gpu_tm = std::make_unique<WtmGpuTm>();
         const WtmMode mode = cfg.protocol == ProtocolKind::WarpTmLL
                                  ? WtmMode::LazyLazy
                                  : WtmMode::EagerLazy;
         for (auto &core : coreArray)
             core->setProtocol(
-                std::make_unique<WtmCoreTm>(*core, wtmShared, mode));
+                std::make_unique<WtmCoreTm>(*core, *gpu_tm, mode));
         for (auto &part : partArray)
             part->setProtocol(std::make_unique<WtmPartitionUnit>(
-                *part, cfg.wtm,
-                "part" + std::to_string(part->partitionId()) + ".wtm"));
+                *part, cfg.wtm, unit_name(*part, "wtm")));
+        gpuProtocol = std::move(gpu_tm);
         break;
       }
 
       case ProtocolKind::Eapg: {
-        wtmShared = std::make_shared<WtmShared>();
+        auto gpu_tm = std::make_unique<WtmGpuTm>();
         for (auto &core : coreArray)
-            core->setProtocol(std::make_unique<EapgCoreTm>(*core,
-                                                           wtmShared));
+            core->setProtocol(std::make_unique<EapgCoreTm>(*core, *gpu_tm));
         for (auto &part : partArray)
             part->setProtocol(std::make_unique<EapgPartitionUnit>(
-                *part, cfg.wtm,
-                "part" + std::to_string(part->partitionId()) + ".eapg"));
+                *part, cfg.wtm, unit_name(*part, "eapg")));
+        gpuProtocol = std::move(gpu_tm);
         break;
       }
     }
@@ -336,83 +366,6 @@ GpuSystem::drained(Cycle now) const
     return true;
 }
 
-Cycle
-GpuSystem::computeNextCycle(Cycle now) const
-{
-    Cycle best = ~static_cast<Cycle>(0);
-    for (const auto &core : coreArray)
-        best = std::min(best, core->nextEventCycle(now + 1));
-    for (const auto &part : partArray)
-        best = std::min(best, part->nextEventCycle(now));
-    best = std::min(best, xbarUp.nextArrival());
-    best = std::min(best, xbarDown.nextArrival());
-    if (best == ~static_cast<Cycle>(0))
-        return best;
-    return std::max(best, now + 1);
-}
-
-void
-GpuSystem::maybeRollover(Cycle now)
-{
-    // No-op under the legacy loop (every core ticked this cycle); the
-    // event loop skips not-due cores, whose clocks would otherwise lag
-    // the rollover's forced aborts.
-    for (auto &core : coreArray)
-        core->syncClock(now);
-
-    if (!rolloverPending) {
-        LogicalTs max_ts = 0;
-        for (GetmPartitionUnit *unit : getmUnits)
-            max_ts = std::max(max_ts, unit->maxTimestamp());
-        // Timestamps embed the warp id below tsWarpIdBits; the
-        // threshold is expressed in logical-clock epochs.
-        if (tsClock(max_ts) < cfg.rolloverThreshold)
-            return;
-        // Begin rollover: freeze transactional progress and force all
-        // in-flight attempts to abort and release their reservations.
-        rolloverPending = true;
-        for (auto &core : coreArray) {
-            core->setTxFrozen(true);
-            for (Warp &warp : core->allWarps()) {
-                if (!warp.inTx)
-                    continue;
-                const int txi = warp.transactionIndex();
-                if (txi >= 0 && warp.stack[txi].mask)
-                    core->abortTxLanes(warp, warp.stack[txi].mask, 0,
-                                       AbortReason::Rollover, invalidAddr);
-            }
-        }
-        inform("GETM timestamp rollover initiated at cycle %llu",
-               static_cast<unsigned long long>(now));
-        return;
-    }
-
-    // Mid-rollover: wait for quiescence, then flush and resume.
-    for (const auto &core : coreArray)
-        if (!core->quiescent())
-            return;
-    for (GetmPartitionUnit *unit : getmUnits)
-        if (unit->metadata().lockedCount() ||
-            unit->stallBuffer().occupancy())
-            return;
-
-    for (GetmPartitionUnit *unit : getmUnits)
-        unit->flushForRollover(now);
-    for (auto &part : partArray)
-        part->addPipelineStall(now, cfg.rolloverPenalty);
-    for (auto &core : coreArray) {
-        for (Warp &warp : core->allWarps()) {
-            warp.warpts = 0;
-            warp.maxObservedTs = 0;
-        }
-        core->setTxFrozen(false);
-    }
-    rolloverPending = false;
-    ++rollovers;
-    inform("GETM timestamp rollover completed at cycle %llu",
-           static_cast<unsigned long long>(now));
-}
-
 std::uint64_t
 GpuSystem::progressSample() const
 {
@@ -423,8 +376,7 @@ GpuSystem::progressSample() const
 }
 
 void
-GpuSystem::checkGuards(const Kernel &kernel, Cycle now, Cycle max_cycles,
-                       GuardState &guard)
+GpuSystem::checkGuards(const Kernel &kernel, Cycle now, Cycle max_cycles)
 {
     if (now >= max_cycles)
         throw SimError(buildDiagnostic(
@@ -517,14 +469,8 @@ GpuSystem::buildDiagnostic(SimErrorKind kind, std::string message,
     if (diag.starvingWarps.size() > 16)
         diag.starvingWarps.resize(16);
 
-    for (std::size_t p = 0; p < getmUnits.size(); ++p) {
-        SimDiagnostic::PartitionRow row;
-        row.partition = static_cast<unsigned>(p);
-        row.metaOccupancy = getmUnits[p]->metadata().occupancy();
-        row.metaLocked = getmUnits[p]->metadata().lockedCount();
-        row.stallOccupancy = getmUnits[p]->stallBuffer().occupancy();
-        diag.partitions.push_back(row);
-    }
+    if (gpuProtocol)
+        gpuProtocol->diagnose(diag);
 
     for (const HotAddrRow &row : observability.profiler().topN(8))
         diag.hotAddrs.push_back({row.addr, row.total});
@@ -532,104 +478,36 @@ GpuSystem::buildDiagnostic(SimErrorKind kind, std::string message,
 }
 
 Cycle
-GpuSystem::runLegacyLoop(const Kernel &kernel, Cycle max_cycles)
+GpuSystem::runLoop(const Kernel &kernel, Cycle max_cycles)
 {
-    Cycle now = resumeCycle;
-    const bool getm_rollover =
-        cfg.protocol == ProtocolKind::Getm &&
-        cfg.rolloverThreshold != ~static_cast<LogicalTs>(0);
-    const bool el_micro = cfg.protocol == ProtocolKind::WarpTmEL;
-    guard.wallStart = std::chrono::steady_clock::now();
-
-    while (!allDone() || !drained(now)) {
-        checkGuards(kernel, now, max_cycles, guard);
-        checkpointTop(kernel, now);
-
-        for (auto &part : partArray)
-            part->tick(now);
-        for (auto &core : coreArray) {
-            const CoreId c = core->id();
-            while (xbarDown.hasReady(c, now))
-                core->deliver(xbarDown.popReady(c), now);
-        }
-        for (auto &core : coreArray)
-            core->tick(now);
-
-        // EL commit micro-phase: commits the engines parked during the
-        // ticks run in core order after every core ticked.
-        if (el_micro)
-            for (auto &core : coreArray)
-                core->runCommitPhase(now);
-
-        observability.cycleSampler().maybeSample(now);
-
-        if (getm_rollover || rolloverPending)
-            maybeRollover(now);
-
-        Cycle next = computeNextCycle(now);
-        // Wake at sample boundaries too, so idle-cycle skipping cannot
-        // starve the telemetry series (a skipped boundary would collapse
-        // several samples into one).
-        if (next != ~static_cast<Cycle>(0) &&
-            observability.cycleSampler().enabled())
-            next = std::max<Cycle>(
-                now + 1,
-                std::min(next,
-                         observability.cycleSampler().nextSampleCycle()));
-        if (next == ~static_cast<Cycle>(0)) {
-            if (allDone() && drained(now))
-                break;
-            if (rolloverPending) {
-                now = now + 1; // draining towards quiescence
-                continue;
-            }
-            throw SimError(buildDiagnostic(
-                SimErrorKind::Deadlock,
-                "no future events at cycle " + std::to_string(now),
-                now, now - guard.lastProgressCycle));
-        }
-        now = next;
-    }
-    return now;
-}
-
-Cycle
-GpuSystem::runEventLoop(const Kernel &kernel, Cycle max_cycles)
-{
-    // The legacy loop ticks every component on every visited cycle, but
-    // a tick on a component whose nextEventCycle() lies in the future is
-    // a no-op: component state only changes inside tick()/deliver() (or
-    // under maybeRollover(), handled below). The wake caches therefore
-    // stay valid between ticks, and skipping not-due components is
-    // timing-equivalent to the legacy loop. Message arrivals are the one
-    // external wake source; they are caught by the hasReady() due-checks
-    // and the raw crossbar nextArrival() terms in the global next.
+    // Event mode skips components that are not due: a tick on a
+    // component whose nextEventCycle() lies in the future is a no-op,
+    // and state only changes in tick()/deliver() or in a GPU-scope
+    // protocol hook, which names what it touched (WakeRefresh). Message
+    // arrivals, the one external wake source, are caught by the
+    // hasReady() due-checks and the crossbar nextArrival() terms.
     const Cycle never = ~static_cast<Cycle>(0);
+    const bool reference = cfg.legacyLoop;
     const unsigned ncores = static_cast<unsigned>(coreArray.size());
     const unsigned nparts = static_cast<unsigned>(partArray.size());
 
-    // Cycle 0 behaves like the legacy loop's first iteration: everything
-    // is due once, then earns its cached wake. After a restore, the
-    // first visited cycle plays the same role: forcing every component
-    // due is harmless (ticking a not-due component is a no-op, the
-    // equivalence this loop is built on), and each then earns its
-    // cached wake from restored state.
+    // The first visited cycle (0, or the restored cycle) finds every
+    // component due once; each then earns its cached wake. Forcing a
+    // not-due component is harmless: its tick is a no-op.
     std::vector<Cycle> coreWake(ncores, resumeCycle);
     std::vector<Cycle> partWake(nparts, resumeCycle);
+    WakeRefresh refresh;
 
     Cycle now = resumeCycle;
-    const bool getm_rollover =
-        cfg.protocol == ProtocolKind::Getm &&
-        cfg.rolloverThreshold != ~static_cast<LogicalTs>(0);
-    const bool el_micro = cfg.protocol == ProtocolKind::WarpTmEL;
     guard.wallStart = std::chrono::steady_clock::now();
 
     while (!allDone() || !drained(now)) {
-        checkGuards(kernel, now, max_cycles, guard);
+        checkGuards(kernel, now, max_cycles);
         checkpointTop(kernel, now);
 
         for (PartitionId p = 0; p < nparts; ++p) {
-            if (partWake[p] <= now || xbarUp.hasReady(p, now)) {
+            if (reference || partWake[p] <= now ||
+                xbarUp.hasReady(p, now)) {
                 partArray[p]->tick(now);
                 partWake[p] = partArray[p]->nextEventCycle(now);
             }
@@ -642,47 +520,38 @@ GpuSystem::runEventLoop(const Kernel &kernel, Cycle max_cycles)
                 core.deliver(xbarDown.popReady(c), now);
             while (xbarDown.hasReady(c, now));
             // A delivery can unblock same-cycle work; force the tick.
-            if (coreWake[c] > now)
-                coreWake[c] = now;
+            coreWake[c] = std::min(coreWake[c], now);
         }
         for (CoreId c = 0; c < ncores; ++c) {
-            if (coreWake[c] <= now) {
+            if (reference || coreWake[c] <= now) {
                 coreArray[c]->tick(now);
                 coreWake[c] = coreArray[c]->nextEventCycle(now + 1);
             }
         }
 
-        // EL commit micro-phase (see runLegacyLoop): refresh the wake of
-        // any core whose parked commit retired or restarted warps.
-        if (el_micro) {
-            for (CoreId c = 0; c < ncores; ++c)
-                if (coreArray[c]->runCommitPhase(now))
-                    coreWake[c] = coreArray[c]->nextEventCycle(now + 1);
-        }
-
+        refresh.cores.clear();
+        refresh.all = false;
+        if (gpuProtocol)
+            gpuProtocol->commitPhase(now, refresh);
         observability.cycleSampler().maybeSample(now);
+        const bool protocol_busy =
+            gpuProtocol && gpuProtocol->endCycle(now, refresh);
 
-        if (getm_rollover || rolloverPending) {
-            const bool was_pending = rolloverPending;
-            maybeRollover(now);
-            if (rolloverPending != was_pending) {
-                // Rollover transitions mutate cores (freeze/unfreeze,
-                // forced aborts) and partitions (flush, pipeline stall)
-                // from outside their tick(); recompute every wake.
-                for (CoreId c = 0; c < ncores; ++c)
-                    coreWake[c] = coreArray[c]->nextEventCycle(now + 1);
-                for (PartitionId p = 0; p < nparts; ++p)
-                    partWake[p] = partArray[p]->nextEventCycle(now);
-            }
+        if (reference || refresh.all) {
+            for (CoreId c = 0; c < ncores; ++c)
+                coreWake[c] = coreArray[c]->nextEventCycle(now + 1);
+            for (PartitionId p = 0; p < nparts; ++p)
+                partWake[p] = partArray[p]->nextEventCycle(now);
+        } else {
+            for (CoreId c : refresh.cores)
+                coreWake[c] = coreArray[c]->nextEventCycle(now + 1);
         }
 
-        Cycle next = never;
+        Cycle next = std::min(xbarUp.nextArrival(), xbarDown.nextArrival());
         for (Cycle wake : coreWake)
             next = std::min(next, wake);
         for (Cycle wake : partWake)
             next = std::min(next, wake);
-        next = std::min(next, xbarUp.nextArrival());
-        next = std::min(next, xbarDown.nextArrival());
         if (next != never)
             next = std::max(next, now + 1);
         // Wake at sample boundaries too, so idle-cycle skipping cannot
@@ -696,8 +565,8 @@ GpuSystem::runEventLoop(const Kernel &kernel, Cycle max_cycles)
         if (next == never) {
             if (allDone() && drained(now))
                 break;
-            if (rolloverPending) {
-                now = now + 1; // draining towards quiescence
+            if (protocol_busy) {
+                now = now + 1;
                 continue;
             }
             throw SimError(buildDiagnostic(
@@ -761,10 +630,13 @@ GpuSystem::ckptMachine(Ar &ar)
                 unit->ckptLoad(ar);
         }
     }
-    ar(stallTracker.current, stallTracker.peak);
-    if (wtmShared)
-        ar(wtmShared->nextCommitId);
-    ar(rolloverPending, rollovers, warpCursor, timeline, observability);
+    if (gpuProtocol) {
+        if constexpr (Ar::saving)
+            gpuProtocol->ckptSave(ar);
+        else
+            gpuProtocol->ckptLoad(ar);
+    }
+    ar(warpCursor, timeline, observability);
     if (txTracer)
         ar(*txTracer);
     if (checker)
@@ -873,8 +745,7 @@ GpuSystem::run(const Kernel &kernel, std::uint64_t num_threads,
 
     Cycle now = 0;
     try {
-        now = cfg.legacyLoop ? runLegacyLoop(kernel, max_cycles)
-                             : runEventLoop(kernel, max_cycles);
+        now = runLoop(kernel, max_cycles);
     } catch (const SimError &err) {
         // Final snapshot beside the diagnostic: every SimError leaves
         // the machine at a cycle boundary (the guards and the
@@ -896,12 +767,6 @@ GpuSystem::run(const Kernel &kernel, std::uint64_t num_threads,
     // Gather results.
     RunResult result;
     result.cycles = now;
-    result.rollovers = rollovers;
-    // Report the logical-clock component: raw timestamps embed the
-    // warp id in their low tsWarpIdBits for uniqueness.
-    for (GetmPartitionUnit *unit : getmUnits)
-        result.maxLogicalTs =
-            std::max(result.maxLogicalTs, tsClock(unit->maxTimestamp()));
     for (auto &core : coreArray) {
         core->foldWarpStats();
         result.stats.merge(core->stats());
@@ -912,10 +777,8 @@ GpuSystem::run(const Kernel &kernel, std::uint64_t num_threads,
     }
     result.stats.merge(xbarUp.stats());
     result.stats.merge(xbarDown.stats());
-    for (GetmPartitionUnit *unit : getmUnits) {
-        result.stats.merge(unit->metadata().stats());
-        result.stats.merge(unit->stallBuffer().stats());
-    }
+    if (gpuProtocol)
+        gpuProtocol->finishRun(result);
 
     result.commits = result.stats.counter("commits");
     result.aborts = result.stats.counter("aborts");
@@ -923,7 +786,6 @@ GpuSystem::run(const Kernel &kernel, std::uint64_t num_threads,
     result.txWaitCycles = result.stats.counter("tx_wait_cycles");
     result.xbarFlits = xbarUp.totalFlits() + xbarDown.totalFlits();
     result.metaAccessCycles = result.stats.mean("access_cycles");
-    result.stallPeakOccupancy = stallTracker.peak;
     result.stallWaitersPerAddr = result.stats.mean("waiters_per_addr");
     // Record the final partial telemetry window before snapshotting.
     observability.cycleSampler().finalize(now);

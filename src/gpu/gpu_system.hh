@@ -16,12 +16,11 @@
 #include <memory>
 #include <vector>
 
-#include "check/violation.hh"
 #include "ckpt/serial.hh"
 #include "common/sim_error.hh"
-#include "core/getm_partition.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/mem_partition.hh"
+#include "gpu/run_result.hh"
 #include "gpu/timeline.hh"
 #include "isa/kernel.hh"
 #include "mem/address_map.hh"
@@ -30,54 +29,11 @@
 #include "obs/observability.hh"
 #include "obs/tx_tracer.hh"
 #include "simt/simt_core.hh"
-#include "warptm/wtm_common.hh"
 
 namespace getm {
 
 class Checker;
 class FaultInjector;
-
-/** Aggregate results of one kernel run. */
-struct RunResult
-{
-    Cycle cycles = 0;              ///< Total kernel execution time.
-    std::uint64_t commits = 0;     ///< Thread-level transaction commits.
-    std::uint64_t aborts = 0;      ///< Thread-level transaction aborts.
-    Cycle txExecCycles = 0;        ///< Warp-cycles executing tx code.
-    Cycle txWaitCycles = 0;        ///< Warp-cycles waiting (throttle,
-                                   ///< backoff, commit sequence).
-    std::uint64_t xbarFlits = 0;   ///< Up+down crossbar flits (Fig. 12).
-    double metaAccessCycles = 0;   ///< Mean metadata access (Fig. 13).
-    unsigned stallPeakOccupancy = 0; ///< GPU-wide peak (Fig. 15).
-    double stallWaitersPerAddr = 0;  ///< Mean queue depth (Fig. 16).
-    std::uint64_t rollovers = 0;   ///< GETM timestamp rollovers taken.
-    LogicalTs maxLogicalTs = 0;    ///< Highest warpts reached (GETM).
-    StatSet stats{"run"};          ///< Everything else, merged.
-    ObsReport obs;                 ///< Attribution, profiler, telemetry.
-    CheckReport check;             ///< Runtime checker verdict (if on).
-
-    /**
-     * Cycles per logical-timestamp increment (paper Sec. V-B1 reports
-     * 1265-15836 for its workloads, i.e., rollover is rare).
-     */
-    double
-    cyclesPerTsIncrement() const
-    {
-        return maxLogicalTs
-                   ? static_cast<double>(cycles) /
-                         static_cast<double>(maxLogicalTs)
-                   : 0.0;
-    }
-
-    /** Aborts per 1000 commits (Table IV). */
-    double
-    abortsPer1kCommits() const
-    {
-        return commits ? 1000.0 * static_cast<double>(aborts) /
-                             static_cast<double>(commits)
-                       : 0.0;
-    }
-};
 
 /** The simulated GPU. */
 class GpuSystem
@@ -116,40 +72,26 @@ class GpuSystem
     unsigned numCores() const { return cfg.numCores; }
     unsigned numPartitions() const { return cfg.numPartitions; }
 
-    /** Live observability hub (every protocol reports into it). */
-    Observability &observabilityHub() { return observability; }
-
     /** Runtime checker, when cfg.checkLevel > 0 (else nullptr). */
     Checker *checkerPtr() { return checker.get(); }
-
-    /** Transaction tracer, when cfg.traceTx > 0 (else nullptr). */
-    TxTracer *tracerPtr() { return txTracer.get(); }
 
   private:
     void wireProtocol();
     void setupTelemetry();
-    Cycle computeNextCycle(Cycle now) const;
     bool allDone() const;
     bool drained(Cycle now) const;
 
     /**
-     * Event-driven main loop: per-component wake cycles are cached when
-     * a component ticks, so idle components are neither ticked nor
-     * rescanned. Returns the final cycle count.
+     * The cycle loop; returns the final cycle count. By default it is
+     * event-driven: per-component wake cycles are cached when a
+     * component ticks, so idle components are neither ticked nor
+     * rescanned. GpuConfig::legacyLoop selects the reference mode,
+     * which ticks every component on every visited cycle and recomputes
+     * every wake at the end of the cycle. The scheduler equivalence
+     * tests require both modes to give identical results, which is
+     * what licenses the skipping of not-due components.
      */
-    Cycle runEventLoop(const Kernel &kernel, Cycle max_cycles);
-
-    /**
-     * Reference loop that ticks every component on every visited cycle
-     * (GpuConfig::legacyLoop). Not a production path: the scheduler
-     * equivalence tests run it next to runEventLoop() and require
-     * identical results, which is what licenses the event loop's
-     * skipping of not-due components.
-     */
-    Cycle runLegacyLoop(const Kernel &kernel, Cycle max_cycles);
-
-    /** GETM timestamp-rollover coordination; returns true if mid-flush. */
-    void maybeRollover(Cycle now);
+    Cycle runLoop(const Kernel &kernel, Cycle max_cycles);
 
     /**
      * Monotone forward-progress measure: instructions retired plus tx
@@ -158,7 +100,7 @@ class GpuSystem
      */
     std::uint64_t progressSample() const;
 
-    /** Per-run state of the safety guards (one instance per loop). */
+    /** Per-run state of the safety guards (the `guard` member). */
     struct GuardState
     {
         std::uint64_t lastProgressValue = 0;
@@ -174,8 +116,7 @@ class GpuSystem
      * SimError; on the happy path it only reads counters, so it can
      * never perturb simulated timing.
      */
-    void checkGuards(const Kernel &kernel, Cycle now, Cycle max_cycles,
-                     GuardState &guard);
+    void checkGuards(const Kernel &kernel, Cycle now, Cycle max_cycles);
 
     /** Snapshot the stuck machine into a SimError diagnostic. */
     SimDiagnostic buildDiagnostic(SimErrorKind kind, std::string message,
@@ -202,15 +143,15 @@ class GpuSystem
     void saveCheckpoint(Cycle now);
 
     /** Restore cfg.restorePath (file or directory); sets resumeCycle
-     *  so the loops resume mid-kernel. Throws SimError CHECKPOINT on
+     *  so the loop resumes mid-kernel. Throws SimError CHECKPOINT on
      *  any corrupt, truncated, version- or config-skewed snapshot. */
     void restoreFromSnapshot();
 
     /**
-     * Iteration-top durability hook, run by every loop at the start of
-     * each visited cycle, where the machine is between ticks: the
-     * --ckpt-kill-at crash hook, pending SIGINT/SIGTERM (final
-     * checkpoint + SimError INTERRUPT), and the periodic checkpoint.
+     * Iteration-top durability hook, run at the start of each visited
+     * cycle, where the machine is between ticks: the --ckpt-kill-at
+     * crash hook, pending SIGINT/SIGTERM (final checkpoint + SimError
+     * INTERRUPT), and the periodic checkpoint.
      */
     void checkpointTop(const Kernel &kernel, Cycle now);
 
@@ -221,9 +162,8 @@ class GpuSystem
     Crossbar<MemMsg> xbarDown;
     std::vector<std::unique_ptr<SimtCore>> coreArray;
     std::vector<std::unique_ptr<MemPartition>> partArray;
-    std::shared_ptr<WtmShared> wtmShared;
-    std::vector<GetmPartitionUnit *> getmUnits; // borrowed from partitions
-    StallOccupancyTracker stallTracker;
+    /** The protocol's GPU-scope engine (null for the lock baseline). */
+    std::unique_ptr<TmGpuProtocol> gpuProtocol;
     Timeline timeline;
     Observability observability;
     std::unique_ptr<TxTracer> txTracer;
@@ -235,9 +175,6 @@ class GpuSystem
      * sequence depend only on its own decisions (check/fault.hh).
      */
     std::vector<std::unique_ptr<FaultInjector>> faultInjectors;
-
-    bool rolloverPending = false;
-    std::uint64_t rollovers = 0;
 
     /** Next warp to assign (run()'s work source; checkpointed so a
      *  restored run keeps pulling from where the snapshot stopped). */
@@ -251,7 +188,7 @@ class GpuSystem
     /** This run's checkpoint compatibility hash (set by run()). */
     std::uint64_t ckptHash = 0;
 
-    /** First cycle the loops simulate (nonzero after a restore). */
+    /** First cycle the loop simulates (nonzero after a restore). */
     Cycle resumeCycle = 0;
 
     /** Next periodic-checkpoint boundary (sampler-style alignment). */
@@ -259,7 +196,7 @@ class GpuSystem
 
     /**
      * Live safety-guard state. A member (reset by run(), wall clock
-     * re-armed by each loop) so checkpoints capture the watchdog's
+     * re-armed by runLoop()) so checkpoints capture the watchdog's
      * progress window and a restored run resumes it exactly.
      */
     GuardState guard;

@@ -64,15 +64,14 @@ class MemPartition : public PartitionContext
     /** Install the fault injector (may be null). */
     void setFaults(FaultInjector *f) { faultInj = f; }
 
-    /** Apply a rollover stall penalty to the unit's pipeline. */
+    // --- PartitionContext ----------------------------------------------
     void
-    addPipelineStall(Cycle now, Cycle penalty)
+    addPipelineStall(Cycle now, Cycle penalty) override
     {
         if (popFree < now + penalty)
             popFree = now + penalty;
     }
 
-    // --- PartitionContext ----------------------------------------------
     PartitionId partitionId() const override { return id; }
     unsigned numCores() const override { return cores; }
     void scheduleToCore(MemMsg &&msg, Cycle when) override;

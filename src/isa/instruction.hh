@@ -93,19 +93,6 @@ struct Instruction
     Pc rpc = 0;           ///< Reconvergence PC for divergent branches.
 
     bool
-    isBranch() const
-    {
-        return op == Opcode::BranchEqz || op == Opcode::BranchNez ||
-               op == Opcode::Jump;
-    }
-
-    bool
-    isMemory() const
-    {
-        return op == Opcode::Load || op == Opcode::Store || isAtomic();
-    }
-
-    bool
     isAtomic() const
     {
         return op == Opcode::AtomCas || op == Opcode::AtomExch ||

@@ -58,8 +58,6 @@ class CacheModel
     void flush();
 
     unsigned lineBytes() const { return lineSize; }
-    std::uint64_t numSets() const { return sets; }
-    unsigned associativity() const { return ways; }
 
     StatSet &stats() { return statSet; }
     const StatSet &stats() const { return statSet; }

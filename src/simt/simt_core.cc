@@ -637,11 +637,6 @@ SimtCore::execTxBegin(Warp &warp, LaneMask active)
     warp.stack.push_back({EntryKind::Transaction, body, noRpc, active});
     warp.inTx = true;
     warp.abortedMask = 0;
-    // Re-stamp the persisted slot timestamp with this warp's id: fresh
-    // slots start at clock 0, and a relaunched slot may now host a
-    // different warp (uniqueness is per *active* warp id).
-    warp.warpts = composeTs(tsClock(warp.warpts), warp.gwid);
-    warp.maxObservedTs = warp.warpts;
     for (auto &log : warp.logs)
         log.clear();
     warp.iwcd.clear();
@@ -713,11 +708,9 @@ SimtCore::finishWarp(Warp &warp)
 }
 
 void
-SimtCore::abortTxLanes(Warp &warp, LaneMask lanes, LogicalTs observed_ts,
-                       AbortReason reason, Addr addr)
+SimtCore::abortTxLanes(Warp &warp, LaneMask lanes, AbortReason reason,
+                       Addr addr)
 {
-    if (observed_ts > warp.maxObservedTs)
-        warp.maxObservedTs = observed_ts;
     lanes &= ~warp.abortedMask;
     if (!lanes)
         return;
@@ -823,8 +816,6 @@ SimtCore::retireTxAttempt(Warp &warp, LaneMask committed_lanes)
         retry.mask = 0;
         warp.abortedMask = 0;
         warp.retriesThisTx++;
-        warp.warpts = composeTs(tsClock(warp.maxObservedTs) + 1, warp.gwid);
-        warp.maxObservedTs = warp.warpts;
         warp.tcdOkLanes = retry_mask;
         warp.txStartCycle = currentCycle;
         warp.commitPointFired = false;
@@ -857,7 +848,6 @@ SimtCore::retireTxAttempt(Warp &warp, LaneMask committed_lanes)
     } else {
         warp.stack.pop_back(); // Retry
         warp.top().pc = commit_pc + 1;
-        warp.warpts = composeTs(tsClock(warp.maxObservedTs) + 1, warp.gwid);
         changeState(warp, WarpState::Ready); // flush tx accounting
         warp.inTx = false;
         warp.backoff.reset();
@@ -912,8 +902,7 @@ void
 SimtCore::deliver(MemMsg &&msg, Cycle now)
 {
     currentCycle = now;
-    if (msg.kind == MsgKind::EapgSignature ||
-        msg.kind == MsgKind::EapgCommitDone) {
+    if (msg.warpSlot == noWarpSlot) {
         protocol->onBroadcast(msg);
         return;
     }

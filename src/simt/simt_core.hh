@@ -101,20 +101,6 @@ class SimtCore
     /** Advance one cycle: maybe issue one warp instruction. */
     void tick(Cycle now);
 
-    /**
-     * Run protocol work parked during tick() in the commit micro-phase
-     * (TmCoreProtocol::runCommitPhase). Every cycle loop calls this in
-     * core order after all cores ticked; the clock is synced first
-     * because the event loop lets idle cores lag.
-     * @return true if any parked work ran.
-     */
-    bool
-    runCommitPhase(Cycle now)
-    {
-        currentCycle = now;
-        return protocol ? protocol->runCommitPhase(now) : false;
-    }
-
     /** Earliest future cycle at which this core can make progress. */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -128,8 +114,8 @@ class SimtCore
     /**
      * Pin the core's local clock without ticking. The event-driven loop
      * skips not-due cores, so their clock can lag; callers that mutate
-     * core state from outside tick()/deliver() (timestamp rollover)
-     * sync first so backoff wakes and event timestamps use global time.
+     * core state from outside tick()/deliver() (GPU-scope protocol
+     * hooks) sync first so backoff wakes and event timestamps use global time.
      */
     void syncClock(Cycle now) { currentCycle = now; }
     const CoreConfig &config() const { return cfg; }
@@ -153,22 +139,22 @@ class SimtCore
 
     /**
      * Abort @p lanes of @p warp's running transaction: SIMT stack
-     * surgery, stats, and observed-timestamp tracking. Triggers the
-     * commit point if the whole attempt is now aborted and drained.
+     * surgery and stats. Triggers the commit point if the whole attempt
+     * is now aborted and drained.
      *
      * This is the single accounting point for transaction aborts, so
      * every caller states *why* (@p reason) and, when known, the
      * conflicting granule (@p addr). The per-reason attribution
      * therefore sums exactly to the run's total abort counter.
      */
-    void abortTxLanes(Warp &warp, LaneMask lanes, LogicalTs observed_ts,
+    void abortTxLanes(Warp &warp, LaneMask lanes,
                       AbortReason reason = AbortReason::None,
                       Addr addr = invalidAddr);
 
     /**
      * Retire the current transaction attempt: pop the Transaction entry,
-     * restart aborted lanes from the Retry entry (with backoff), release
-     * the throttle when fully done, and advance warpts.
+     * restart aborted lanes from the Retry entry (with backoff), and
+     * release the throttle when fully done.
      */
     void retireTxAttempt(Warp &warp, LaneMask committed_lanes);
 
@@ -241,8 +227,9 @@ class SimtCore
     unsigned mshrOccupancy() const;
 
     /**
-     * Freeze transactional progress (GETM timestamp rollover): new
-     * TxBegins stall and backed-off retries do not wake until thawed.
+     * Freeze transactional progress (a GPU-scope protocol hook, e.g. a
+     * GETM timestamp rollover): new TxBegins stall and backed-off
+     * retries do not wake until thawed.
      */
     void setTxFrozen(bool frozen) { txFrozen = frozen; }
 

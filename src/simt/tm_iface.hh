@@ -1,18 +1,23 @@
 /**
  * @file
- * Interface between the SIMT core and a TM protocol engine.
+ * Interfaces between the simulator and a TM protocol's engines.
  *
  * The core owns generic machinery (scheduling, SIMT stack, coalescing,
  * response plumbing, retirement); a TmCoreProtocol implements the
  * protocol-specific behaviour of transactional accesses and commits.
- * Concrete engines: GETM (src/core), WarpTM-LL/-EL (src/warptm), and
- * EAPG (src/eapg). The fine-grained-lock baseline uses no engine at all.
+ * What spans every core and partition -- GETM's timestamp rollover,
+ * WarpTM's global commit ids and EL commit micro-phase -- lives in one
+ * TmGpuProtocol. The partition side is TmPartitionProtocol
+ * (tm/partition_iface.hh). Concrete engines: GETM (src/core),
+ * WarpTM-LL/-EL (src/warptm), and EAPG (src/eapg). The
+ * fine-grained-lock baseline uses no engine at all.
  */
 
 #ifndef GETM_SIMT_TM_IFACE_HH
 #define GETM_SIMT_TM_IFACE_HH
 
 #include <array>
+#include <vector>
 
 #include "simt/warp.hh"
 #include "tm/messages.hh"
@@ -20,6 +25,8 @@
 namespace getm {
 
 class SimtCore;
+struct RunResult;
+struct SimDiagnostic;
 
 namespace ckpt {
 class Writer;
@@ -65,32 +72,65 @@ class TmCoreProtocol
     /** A protocol-specific response arrived for @p warp. */
     virtual void onResponse(Warp &warp, const MemMsg &msg) = 0;
 
-    /** A broadcast (no warp association) arrived, e.g. EAPG signatures. */
+    /** A message with no warp attached (MemMsg::warpSlot ==
+     *  noWarpSlot) arrived, e.g. an EAPG signature broadcast. */
     virtual void onBroadcast(const MemMsg &msg) { (void)msg; }
-
-    /**
-     * Run protocol work the engine parked during its tick in the
-     * commit micro-phase, after all cores ticked. WarpTM-EL uses this
-     * for commit points: an EL commit's final instant validation and
-     * write-log apply run here, in core order, so every core's tick of
-     * the cycle sees the same shared memory. The cycle loop invokes
-     * this after the tick phase; the golden fixtures pin the schedule.
-     *
-     * @return true if any parked work ran (the event loop uses this
-     *         to refresh the core's wake cycle).
-     */
-    virtual bool
-    runCommitPhase(Cycle now)
-    {
-        (void)now;
-        return false;
-    }
 
     /** Serialize engine state into a checkpoint (default: stateless). */
     virtual void ckptSave(ckpt::Writer &ar) { (void)ar; }
 
     /** Restore engine state from a checkpoint (default: stateless). */
     virtual void ckptLoad(ckpt::Reader &ar) { (void)ar; }
+};
+
+/**
+ * Components a GPU-scope hook changed outside their own tick(). The
+ * event loop recomputes exactly these cached wake cycles.
+ */
+struct WakeRefresh
+{
+    std::vector<CoreId> cores; ///< Cores whose wake cycle is stale.
+    bool all = false;          ///< Every core and partition is stale.
+};
+
+/**
+ * GPU-scope protocol engine. GpuSystem::wireProtocol() creates one
+ * beside the per-core and per-partition engines; the cycle loop,
+ * checkpoints, diagnostics and run results call its hooks.
+ */
+class TmGpuProtocol
+{
+  public:
+    virtual ~TmGpuProtocol() = default;
+
+    /**
+     * Commit micro-phase, after every core ticked and before the cycle
+     * is sampled: work the core engines parked during their ticks runs
+     * here in core order. The golden fixtures pin this schedule.
+     */
+    virtual void commitPhase(Cycle /*now*/, WakeRefresh & /*refresh*/) {}
+
+    /**
+     * Last step of every visited cycle, after the sampler.
+     * @return true while the engine needs cycles simulated although no
+     *         component has a future event.
+     */
+    virtual bool
+    endCycle(Cycle /*now*/, WakeRefresh & /*refresh*/)
+    {
+        return false;
+    }
+
+    /** Serialize / restore the engine's state in a checkpoint. */
+    virtual void ckptSave(ckpt::Writer &ar) = 0;
+    virtual void ckptLoad(ckpt::Reader &ar) = 0;
+
+    /** Add the engine's rows to a SimError diagnostic. */
+    virtual void diagnose(SimDiagnostic & /*diag*/) {}
+
+    /** Fold the engine's results into @p result at the end of a run,
+     *  after the component and crossbar stats are merged. */
+    virtual void finishRun(RunResult & /*result*/) {}
 };
 
 } // namespace getm

@@ -76,16 +76,6 @@ class LaneGrantTable
                 slot->clear();
     }
 
-    /** Number of lanes whose map has been materialized. */
-    unsigned
-    allocatedLanes() const
-    {
-        unsigned count = 0;
-        for (const auto &slot : lanes)
-            count += slot != nullptr;
-        return count;
-    }
-
     /**
      * Checkpoint hook. Lane-map *allocation* is part of the layout
      * contract in the class comment, so presence is serialized per

@@ -52,26 +52,6 @@ splitList(const std::string &text)
 }
 
 bool
-parseProtocolName(std::string name, ProtocolKind &out)
-{
-    for (auto &ch : name)
-        ch = static_cast<char>(std::tolower(ch));
-    if (name == "getm")
-        out = ProtocolKind::Getm;
-    else if (name == "warptm" || name == "warptm-ll")
-        out = ProtocolKind::WarpTmLL;
-    else if (name == "warptm-el" || name == "el")
-        out = ProtocolKind::WarpTmEL;
-    else if (name == "eapg")
-        out = ProtocolKind::Eapg;
-    else if (name == "fglock" || name == "lock")
-        out = ProtocolKind::FgLock;
-    else
-        return false;
-    return true;
-}
-
-bool
 parseUint(const std::string &token, std::uint64_t &out)
 {
     if (token.empty())
@@ -226,12 +206,12 @@ SweepManifest::parse(const std::string &text,
                 }
                 axis.values.push_back(spec.token());
             } else if (key == "protocol") {
-                ProtocolKind protocol;
-                if (!parseProtocolName(token, protocol)) {
+                const auto protocol = parseProtocol(token);
+                if (!protocol) {
                     error = at() + "unknown protocol '" + token + "'";
                     return false;
                 }
-                axis.values.push_back(protocolName(protocol));
+                axis.values.push_back(protocolName(*protocol));
             } else if (key == "scale") {
                 double scale;
                 if (!parseDouble(token, scale) || scale <= 0) {
@@ -349,7 +329,8 @@ SweepManifest::enumerate(std::vector<SweepPoint> &points,
                 std::string spec_error;
                 parseWorkloadSpec(value, point.bench, spec_error);
             } else if (axis.key == "protocol") {
-                parseProtocolName(value, point.protocol);
+                if (const auto protocol = parseProtocol(value))
+                    point.protocol = *protocol;
             } else if (axis.key == "scale") {
                 parseDouble(value, point.scale);
             } else if (axis.key == "seed") {

@@ -77,6 +77,12 @@ enum class GetmOutcome : std::uint8_t
     Abort,
 };
 
+/**
+ * MemMsg::warpSlot of a message with no warp attached (e.g. EAPG
+ * broadcasts); the core hands it to TmCoreProtocol::onBroadcast().
+ */
+constexpr std::uint32_t noWarpSlot = ~0u;
+
 /** A core<->partition message. */
 struct MemMsg
 {

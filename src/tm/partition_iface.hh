@@ -67,6 +67,14 @@ class PartitionContext
 
     /** Fault injector; nullptr unless --inject is enabled. */
     virtual FaultInjector *faults() { return nullptr; }
+
+    /** Pop no request before cycle @p now + @p penalty (rollover). */
+    virtual void
+    addPipelineStall(Cycle now, Cycle penalty)
+    {
+        (void)now;
+        (void)penalty;
+    }
 };
 
 /** Partition-side protocol unit (validation + commit units). */

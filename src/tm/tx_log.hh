@@ -81,12 +81,6 @@ class ThreadTxLog
         return writes[slot].value;
     }
 
-    bool
-    hasRead(Addr addr) const
-    {
-        return lookup(reads, readIndex, addr) != npos;
-    }
-
     void
     clear()
     {

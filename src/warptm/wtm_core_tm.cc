@@ -10,9 +10,15 @@
 
 namespace getm {
 
-WtmCoreTm::WtmCoreTm(SimtCore &core_, std::shared_ptr<WtmShared> shared_,
-                     WtmMode mode_)
-    : core(core_), shared(std::move(shared_)), mode(mode_),
+void
+WtmGpuTm::commitPhase(Cycle now, WakeRefresh &refresh)
+{
+    for (WtmCoreTm *engine : elEngines)
+        engine->runCommitPhase(now, refresh);
+}
+
+WtmCoreTm::WtmCoreTm(SimtCore &core_, WtmGpuTm &gpu_, WtmMode mode_)
+    : core(core_), gpu(gpu_), mode(mode_),
       sliceParts(core_.config().maxWarps),
       stElEagerAborts(core_.stats().addCounter("wtm_el_eager_aborts")),
       stLoadReqs(core_.stats().addCounter("wtm_load_reqs")),
@@ -21,6 +27,8 @@ WtmCoreTm::WtmCoreTm(SimtCore &core_, std::shared_ptr<WtmShared> shared_,
       stSilentCommits(core_.stats().addCounter("wtm_silent_commits")),
       stValidations(core_.stats().addCounter("wtm_validations"))
 {
+    if (mode == WtmMode::EagerLazy)
+        gpu.addCommitPhase(*this);
 }
 
 LaneMask
@@ -74,8 +82,8 @@ WtmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
         if (failed) {
             stElEagerAborts.add(
                 static_cast<std::uint64_t>(std::popcount(failed)));
-            core.abortTxLanes(warp, failed, warp.warpts,
-                              AbortReason::EagerValidation, conflict);
+            core.abortTxLanes(warp, failed, AbortReason::EagerValidation,
+                              conflict);
             lanes &= ~failed;
             if (!lanes)
                 return;
@@ -107,7 +115,6 @@ WtmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
         msg.addr = granule;
         msg.wid = warp.gwid;
         msg.warpSlot = warp.slot;
-        msg.ts = warp.warpts;
         for (LaneId lane = lead; lane < warpSize; ++lane) {
             if (!(pending & (1u << lane)) ||
                 core.granuleOf(addrs[lane]) != granule)
@@ -187,7 +194,7 @@ WtmCoreTm::onResponse(Warp &warp, const MemMsg &msg)
                     std::popcount(warp.validationFailed)));
                 // The conflicting addresses were reported partition-side
                 // during validation; only the reason is known here.
-                core.abortTxLanes(warp, warp.validationFailed, warp.warpts,
+                core.abortTxLanes(warp, warp.validationFailed,
                                   AbortReason::Validation, invalidAddr);
             }
             sliceParts[warp.slot].clear();
@@ -208,7 +215,7 @@ WtmCoreTm::txCommitPoint(Warp &warp)
         // Park for the commit micro-phase: the final instant
         // validation reads shared memory and the commit applies the
         // write log to it, both after every core ticked this cycle
-        // (TmCoreProtocol::runCommitPhase). CommitWait parks the warp
+        // (WtmGpuTm::commitPhase). CommitWait parks the warp
         // so the scheduler cannot re-issue it this cycle.
         deferredCommits.push_back(warp.slot);
         core.changeState(warp, WarpState::CommitWait);
@@ -217,19 +224,20 @@ WtmCoreTm::txCommitPoint(Warp &warp)
     finishCommitPoint(warp);
 }
 
-bool
-WtmCoreTm::runCommitPhase(Cycle now)
+void
+WtmCoreTm::runCommitPhase(Cycle now, WakeRefresh &refresh)
 {
-    (void)now; // clock already synced by SimtCore::runCommitPhase()
+    // The event loop lets idle cores' clocks lag; commits use global time.
+    core.syncClock(now);
     if (deferredCommits.empty())
-        return false;
+        return;
     // finishCommitPoint can abort lanes, which may re-enter the commit
     // path; swap the queue so such re-entries land in the next batch.
     std::vector<std::uint32_t> batch;
     batch.swap(deferredCommits);
     for (const std::uint32_t slot : batch)
         finishCommitPoint(core.allWarps()[slot]);
-    return true;
+    refresh.cores.push_back(core.id());
 }
 
 void
@@ -248,8 +256,8 @@ WtmCoreTm::finishCommitPoint(Warp &warp)
         if (failed) {
             stElEagerAborts.add(
                 static_cast<std::uint64_t>(std::popcount(failed)));
-            core.abortTxLanes(warp, failed, warp.warpts,
-                              AbortReason::EagerValidation, conflict);
+            core.abortTxLanes(warp, failed, AbortReason::EagerValidation,
+                              conflict);
         }
     }
 
@@ -262,8 +270,8 @@ WtmCoreTm::finishCommitPoint(Warp &warp)
     if (losers) {
         stIntraWarpAborts.add(
             static_cast<std::uint64_t>(std::popcount(losers)));
-        core.abortTxLanes(warp, losers, warp.warpts,
-                          AbortReason::IntraWarp, invalidAddr);
+        core.abortTxLanes(warp, losers, AbortReason::IntraWarp,
+                          invalidAddr);
     }
 
     // Read-only lanes that pass the temporal conflict check commit
@@ -365,7 +373,7 @@ WtmCoreTm::startValidation(Warp &warp)
 
     // Lazy-lazy: two round trips in global commit order. Every partition
     // receives either its slice or a skip so ids stay contiguous.
-    warp.commitId = shared->nextCommitId++;
+    warp.commitId = gpu.allocCommitId();
     const unsigned parts = core.addressMap().numPartitions();
     for (PartitionId part = 0; part < parts; ++part) {
         auto it = slices.find(part);

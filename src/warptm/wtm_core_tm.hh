@@ -17,30 +17,82 @@
 #ifndef GETM_WARPTM_WTM_CORE_TM_HH
 #define GETM_WARPTM_WTM_CORE_TM_HH
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
+#include "ckpt/serial.hh"
 #include "simt/simt_core.hh"
 #include "simt/tm_iface.hh"
-#include "warptm/wtm_common.hh"
 
 namespace getm {
+
+class WtmCoreTm;
+
+/** Conflict-detection flavour of the WarpTM engine. */
+enum class WtmMode : std::uint8_t
+{
+    /** Original WarpTM: lazy value-based validation (two round trips). */
+    LazyLazy,
+    /**
+     * Idealized eager-lazy variant used in Sec. III: value validation
+     * runs on every transactional access with zero latency and traffic;
+     * commits skip validation and take a single write+ack round trip.
+     */
+    EagerLazy,
+};
+
+/**
+ * WarpTM's GPU-scope engine, shared by WarpTM-LL, WarpTM-EL and EAPG:
+ * the global commit-id allocator, plus the WarpTM-EL commit micro-phase.
+ */
+class WtmGpuTm : public TmGpuProtocol
+{
+  public:
+    /**
+     * Next global commit id. WarpTM serializes validation/commit per
+     * partition in global commit order (KiloTM-style); empty slices are
+     * announced with skip messages so every partition sees a contiguous
+     * id sequence. Ids are drawn in the cycle loop's core order, so
+     * they are a pure function of the simulated schedule.
+     */
+    std::uint64_t allocCommitId() { return nextCommitId++; }
+
+    /** Run @p engine's parked commits in every commit micro-phase. */
+    void addCommitPhase(WtmCoreTm &engine) { elEngines.push_back(&engine); }
+
+    void commitPhase(Cycle now, WakeRefresh &refresh) override;
+    void ckptSave(ckpt::Writer &ar) override { ar(nextCommitId); }
+    void ckptLoad(ckpt::Reader &ar) override { ar(nextCommitId); }
+
+  private:
+    std::uint64_t nextCommitId = 1;
+    /** WarpTM-EL engines, in core order. */
+    std::vector<WtmCoreTm *> elEngines;
+};
 
 /** WarpTM TmCoreProtocol implementation (LL and EL modes). */
 class WtmCoreTm : public TmCoreProtocol
 {
   public:
-    WtmCoreTm(SimtCore &core_, std::shared_ptr<WtmShared> shared_,
-              WtmMode mode_);
+    /** EagerLazy engines register with @p gpu_ for its commit phase. */
+    WtmCoreTm(SimtCore &core_, WtmGpuTm &gpu_, WtmMode mode_);
 
     void txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
                   const LaneVals &vals, LaneMask lanes,
                   std::uint8_t rd) override;
     void txCommitPoint(Warp &warp) override;
     void onResponse(Warp &warp, const MemMsg &msg) override;
-    bool runCommitPhase(Cycle now) override;
     void ckptSave(ckpt::Writer &ar) override;
     void ckptLoad(ckpt::Reader &ar) override;
+
+    /**
+     * Finish the EL commit points parked during this cycle's ticks
+     * (WtmGpuTm::commitPhase), after every core ticked: an EL commit's
+     * final instant validation and write-log apply then run in core
+     * order, so every core's tick of the cycle saw the same shared
+     * memory. Adds the core to @p refresh if any commit ran.
+     */
+    void runCommitPhase(Cycle now, WakeRefresh &refresh);
 
   protected:
     /**
@@ -59,9 +111,8 @@ class WtmCoreTm : public TmCoreProtocol
     /**
      * The body of the commit point. EagerLazy warps reach it through
      * the commit micro-phase (runCommitPhase) because an EL commit
-     * applies its write log to shared memory core-side — see
-     * TmCoreProtocol::runCommitPhase. LazyLazy warps run it inline
-     * from txCommitPoint.
+     * applies its write log to shared memory core-side. LazyLazy warps
+     * run it inline from txCommitPoint.
      */
     void finishCommitPoint(Warp &warp);
 
@@ -79,7 +130,7 @@ class WtmCoreTm : public TmCoreProtocol
                              Addr *conflict_addr = nullptr) const;
 
     SimtCore &core;
-    std::shared_ptr<WtmShared> shared;
+    WtmGpuTm &gpu;
     WtmMode mode;
     /** Partitions holding a validation slice, per warp slot. */
     std::vector<std::vector<PartitionId>> sliceParts;

@@ -27,7 +27,6 @@
 
 #include "core/metadata_table.hh" // RecencyBloom, reused for the TCD
 #include "tm/partition_iface.hh"
-#include "warptm/wtm_common.hh"
 
 namespace getm {
 

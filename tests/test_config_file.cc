@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the key=value configuration-file parser.
+ * Tests for the key=value configuration-file parser and the protocol
+ * names both CLIs accept.
  */
 
 #include <gtest/gtest.h>
@@ -79,6 +80,24 @@ TEST(ConfigFile, MissingFileReportsError)
     std::string error;
     EXPECT_FALSE(loadConfigFile("/nonexistent/x.cfg", cfg, error));
     EXPECT_NE(error.find("cannot open"), std::string::npos);
+}
+
+TEST(ProtocolNames, ParseInvertsNameAndAcceptsAliases)
+{
+    for (ProtocolKind kind :
+         {ProtocolKind::FgLock, ProtocolKind::Getm, ProtocolKind::WarpTmLL,
+          ProtocolKind::WarpTmEL, ProtocolKind::Eapg})
+        EXPECT_EQ(parseProtocol(protocolName(kind)), kind)
+            << protocolName(kind);
+    EXPECT_EQ(parseProtocol("warptm"), ProtocolKind::WarpTmLL);
+    EXPECT_EQ(parseProtocol("el"), ProtocolKind::WarpTmEL);
+    EXPECT_EQ(parseProtocol("lock"), ProtocolKind::FgLock);
+    EXPECT_EQ(parseProtocol("getm"), ProtocolKind::Getm);
+    EXPECT_EQ(parseProtocol("wArPtM-eL"), ProtocolKind::WarpTmEL);
+    EXPECT_EQ(parseProtocol("LOCK"), ProtocolKind::FgLock);
+    EXPECT_EQ(parseProtocol("tl2"), std::nullopt);
+    EXPECT_EQ(parseProtocol("getm2"), std::nullopt);
+    EXPECT_EQ(parseProtocol(""), std::nullopt);
 }
 
 } // namespace

@@ -248,23 +248,5 @@ TEST(StallBuffer, OccupancyAndWaiters)
     EXPECT_EQ(buffer.waitersOn(0x300), 0u);
 }
 
-TEST(StallBuffer, TrackerFollowsGlobalOccupancy)
-{
-    StallOccupancyTracker tracker;
-    StallBuffer a("a", {4, 4});
-    StallBuffer b("b", {4, 4});
-    a.setTracker(&tracker);
-    b.setTracker(&tracker);
-    a.enqueue(0x100, request(1));
-    b.enqueue(0x200, request(2));
-    b.enqueue(0x200, request(3));
-    EXPECT_EQ(tracker.current, 3u);
-    EXPECT_EQ(tracker.peak, 3u);
-    a.popOldest(0x100);
-    b.flush();
-    EXPECT_EQ(tracker.current, 0u);
-    EXPECT_EQ(tracker.peak, 3u);
-}
-
 } // namespace
 } // namespace getm

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "check/fault.hh"
 #include "common/json.hh"
 #include "common/stats.hh"
 #include "core/getm_partition.hh"
@@ -393,6 +394,66 @@ TEST(Attribution, StallEventsBalanceAndTrackDepth)
               1u);
     EXPECT_EQ(report.stallPeakOccupancy, 1u);
     EXPECT_DOUBLE_EQ(report.meanStallWaiters(), 1.0);
+}
+
+/** ObsContext that reports as partition @p id into a shared hub. */
+class SharedHubContext : public ObsContext
+{
+  public:
+    SharedHubContext(Observability &shared_, PartitionId id_)
+        : shared(shared_), id(id_)
+    {
+    }
+
+    PartitionId partitionId() const override { return id; }
+    ObsSink *obs() override { return &shared; }
+    FaultInjector *faults() override { return injector; }
+
+    FaultInjector *injector = nullptr;
+
+  private:
+    Observability &shared;
+    PartitionId id;
+};
+
+TEST(Observability, StallPeakIsGpuWideAndRolloverFlushReleases)
+{
+    Observability hub;
+    SharedHubContext ctx0(hub, 0);
+    SharedHubContext ctx1(hub, 1);
+    GetmPartitionUnit unit0(ctx0, smallConfig(), "u0");
+    GetmPartitionUnit unit1(ctx1, smallConfig(), "u1");
+
+    // One load waits behind a writer at partition 0, two at partition 1.
+    unit0.handleRequest(accessReq(MsgKind::GetmTxStore, 1, 10, 0x2000), 0);
+    unit0.handleRequest(accessReq(MsgKind::GetmTxLoad, 2, 20, 0x2000), 1);
+    unit1.handleRequest(accessReq(MsgKind::GetmTxStore, 3, 10, 0x3000), 0);
+    unit1.handleRequest(accessReq(MsgKind::GetmTxLoad, 4, 20, 0x3000), 1);
+    unit1.handleRequest(accessReq(MsgKind::GetmTxLoad, 5, 30, 0x3000), 2);
+    EXPECT_EQ(unit0.stallBuffer().occupancy(), 1u);
+    EXPECT_EQ(unit1.stallBuffer().occupancy(), 2u);
+    EXPECT_EQ(hub.stallOccupancy(), 3u);
+
+    // Partition 1's writer commits under an injected leaked lock: the
+    // reservation count drops to zero but the waiters stay parked...
+    FaultInjector leak(FaultKind::LeakLock, 1.0, 1);
+    ctx1.injector = &leak;
+    MemMsg commit;
+    commit.kind = MsgKind::GetmCommit;
+    commit.wid = 3;
+    commit.flag = true;
+    commit.bytes = 20;
+    commit.ops.push_back({0, 0x3000, 42, 1});
+    unit1.handleRequest(std::move(commit), 3);
+    EXPECT_EQ(unit1.stallBuffer().occupancy(), 2u);
+
+    // ...until a rollover flush drops them and reports their release.
+    unit1.flushForRollover(4);
+    EXPECT_EQ(unit1.stallBuffer().occupancy(), 0u);
+    EXPECT_EQ(hub.stallOccupancy(), 1u);
+
+    // The peak is the GPU-wide total, not one partition's.
+    EXPECT_EQ(hub.report(8).stallPeakOccupancy, 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -121,24 +121,6 @@ listBenches()
     }
 }
 
-std::optional<ProtocolKind>
-parseProtocol(std::string name)
-{
-    for (auto &ch : name)
-        ch = static_cast<char>(std::tolower(ch));
-    if (name == "getm")
-        return ProtocolKind::Getm;
-    if (name == "warptm" || name == "warptm-ll")
-        return ProtocolKind::WarpTmLL;
-    if (name == "warptm-el" || name == "el")
-        return ProtocolKind::WarpTmEL;
-    if (name == "eapg")
-        return ProtocolKind::Eapg;
-    if (name == "fglock" || name == "lock")
-        return ProtocolKind::FgLock;
-    return std::nullopt;
-}
-
 int
 runSimulation(const WorkloadSpec &bench, ProtocolKind protocol,
               double scale, std::uint64_t seed, GpuConfig &cfg,

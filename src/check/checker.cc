@@ -7,6 +7,7 @@
 #include "check/checker.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <sstream>
 
@@ -96,6 +97,93 @@ Checker::addViolation(ViolationKind kind, Addr addr, std::uint64_t tx,
     }
 }
 
+Checker::LaneSlot &
+Checker::laneSlot(GlobalWarpId gwid, LaneId lane)
+{
+    const std::uint64_t key = slotKey(gwid, lane);
+    if (key >= slots.size())
+        slots.resize(key + 1);
+    return slots[key];
+}
+
+std::size_t
+Checker::home(Addr addr) const
+{
+    // Fibonacci hashing, as in IntraWarpCd: the top bits of the product
+    // spread word-aligned, strided addresses evenly.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(addr) * 0x9e3779b97f4a7c15ull) >> shift);
+}
+
+void
+Checker::reindex(std::size_t capacity)
+{
+    cells.assign(capacity, Cell{});
+    shift = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    const std::size_t mask = capacity - 1;
+    for (std::uint32_t idx = 0; idx < shadow.size(); ++idx) {
+        std::size_t i = home(shadow[idx].addr);
+        while (cells[i].idx != noIndex)
+            i = (i + 1) & mask;
+        cells[i] = {shadow[idx].addr, idx};
+    }
+}
+
+std::uint32_t
+Checker::touch(Addr addr)
+{
+    if (2 * (shadow.size() + 1) > cells.size())
+        reindex(cells.empty() ? 1024 : 2 * cells.size());
+    const std::size_t mask = cells.size() - 1;
+    for (std::size_t i = home(addr);; i = (i + 1) & mask) {
+        if (cells[i].idx == noIndex) {
+            const auto idx = static_cast<std::uint32_t>(shadow.size());
+            cells[i] = {addr, idx};
+            shadow.push_back({addr, {}, {}});
+            return idx;
+        }
+        if (cells[i].addr == addr)
+            return cells[i].idx;
+    }
+}
+
+void
+Checker::addRef(std::uint64_t tx)
+{
+    if (tx >= refs.size())
+        refs.resize(tx + 1);
+    ++refs[tx];
+}
+
+void
+Checker::dropRef(std::uint64_t tx)
+{
+    // A node losing its last reference may retire at this pass.
+    if (--refs[tx] == 0 && tx < nodeOf.size() && nodeOf[tx])
+        candidates.push_back(nodeOf[tx] - 1);
+}
+
+bool
+Checker::pinned(std::uint64_t tx) const
+{
+    return ((pinBits[tx >> 6] >> (tx & 63)) & 1) ||
+           (tx < refs.size() && refs[tx] > 0);
+}
+
+void
+Checker::pushVersion(std::uint32_t idx, std::uint64_t writer,
+                     std::uint32_t value)
+{
+    AddrState &st = shadow[idx];
+    auto &vs = st.versions;
+    vs.push_back({writer, ++eventSeq, value,
+                  static_cast<std::uint32_t>(st.readers.size())});
+    if (writer)
+        addRef(writer);
+    if (vs.size() == 2)
+        grown.push_back(idx);
+}
+
 void
 Checker::attemptBegin(GlobalWarpId gwid, LaneMask lanes,
                       std::uint32_t first_tid)
@@ -103,11 +191,9 @@ Checker::attemptBegin(GlobalWarpId gwid, LaneMask lanes,
     for (LaneId lane = 0; lane < warpSize; ++lane) {
         if (!(lanes & (1u << lane)))
             continue;
-        LaneSlot &slot = slots[slotKey(gwid, lane)];
+        LaneSlot &slot = laneSlot(gwid, lane);
         slot.active = true;
-        slot.cur = Attempt{};
-        slot.cur.id = ++txCounter;
-        slot.cur.tid = first_tid + lane;
+        slot.cur.reset(++txCounter, first_tid + lane);
         ++report_.txBegins;
     }
 }
@@ -117,24 +203,28 @@ Checker::readObserved(GlobalWarpId gwid, LaneId lane, Addr addr,
                       std::uint32_t value)
 {
     ++report_.readsChecked;
-    AddrState &st = shadow[addr];
-    LaneSlot &slot = slots[slotKey(gwid, lane)];
-    if (st.versions.empty()) {
+    const std::uint32_t idx = touch(addr);
+    const auto &vs = shadow[idx].versions;
+    if (vs.empty()) {
         // First touch: adopt the store's value as the initial version
         // (workload setup writes host-side, below the hooks).
-        st.versions.push_back({0, value, ++eventSeq, {}});
-    } else if (st.versions.back().value != value) {
+        pushVersion(idx, 0, value);
+    } else if (vs.back().value != value) {
+        const LaneSlot &slot = laneSlot(gwid, lane);
         std::ostringstream os;
         os << "tx read of 0x" << std::hex << addr << std::dec
            << " observed a value the shadow never saw applied";
         addViolation(ViolationKind::InconsistentRead, addr,
-                     slot.active ? slot.cur.id : 0,
-                     st.versions.back().value, value, os.str());
+                     slot.active ? slot.cur.id : 0, vs.back().value, value,
+                     os.str());
         return; // do not bind the bogus value to a version
     }
-    if (slot.active && level_ >= CheckLevel::Serial) {
-        const Version &v = st.versions.back();
-        slot.cur.reads.push_back({addr, value, v.installSeq, v.writer});
+    if (level_ < CheckLevel::Serial)
+        return;
+    LaneSlot &slot = laneSlot(gwid, lane);
+    if (slot.active) {
+        const Version &v = vs.back();
+        slot.cur.reads.push_back({idx, v.installSeq, v.writer});
     }
 }
 
@@ -144,12 +234,12 @@ Checker::attemptAborted(GlobalWarpId gwid, LaneMask lanes)
     for (LaneId lane = 0; lane < warpSize; ++lane) {
         if (!(lanes & (1u << lane)))
             continue;
-        LaneSlot &slot = slots[slotKey(gwid, lane)];
+        LaneSlot &slot = laneSlot(gwid, lane);
         if (!slot.active)
             continue;
         ++report_.txAborts;
         slot.active = false;
-        slot.cur = Attempt{};
+        slot.cur.reset(0, 0);
     }
 }
 
@@ -158,28 +248,26 @@ Checker::attemptCommitted(GlobalWarpId gwid, LaneId lane,
                           const std::vector<LogEntry> &writes)
 {
     ++report_.txCommits;
-    LaneSlot &slot = slots[slotKey(gwid, lane)];
+    LaneSlot &slot = laneSlot(gwid, lane);
     if (!slot.active) {
         // Commit without a begin: the hooks missed an attempt start.
-        slot.cur = Attempt{};
-        slot.cur.id = ++txCounter;
+        slot.cur.reset(++txCounter, 0);
     }
-    Attempt att = std::move(slot.cur);
     slot.active = false;
-    slot.cur = Attempt{};
+    Attempt &att = slot.cur;
 
-    PendingApply pa;
-    pa.tx = att.id;
+    // The attempt's intents go behind those still awaiting applies.
+    const std::size_t first = slot.pending.size();
     for (const LogEntry &e : writes)
-        pa.intents.push_back({e.addr, e.value, false});
+        slot.pending.push_back({att.id, e.addr, e.value, false});
 
     // WarpTM-EL applied at the core before retiring: match those
     // applies against the intent now.
     for (const auto &[addr, value] : att.earlyApplies) {
         WriteIntent *intent = nullptr;
-        for (WriteIntent &in : pa.intents) {
-            if (!in.applied && in.addr == addr) {
-                intent = &in;
+        for (std::size_t i = first; i < slot.pending.size(); ++i) {
+            if (!slot.pending[i].applied && slot.pending[i].addr == addr) {
+                intent = &slot.pending[i];
                 break;
             }
         }
@@ -204,30 +292,28 @@ Checker::attemptCommitted(GlobalWarpId gwid, LaneId lane,
     if (level_ >= CheckLevel::Serial) {
         ensureNode(att.id);
         for (const ReadRec &r : att.reads) {
+            AddrState &st = shadow[r.addrIdx];
             if (r.writer != 0 && r.writer != att.id)
-                addEdge(r.writer, att.id, "WR", r.addr);
-            auto shadow_it = shadow.find(r.addr);
-            if (shadow_it == shadow.end())
+                addEdge(r.writer, att.id, "WR", st.addr);
+            const std::uint32_t vi = findVersion(st, r.installSeq);
+            if (vi == noIndex)
                 continue;
-            std::size_t idx = 0;
-            Version *v = findVersion(shadow_it->second, r.installSeq, &idx);
-            if (!v)
-                continue;
-            v->committedReaders.push_back(att.id);
-            auto &vs = shadow_it->second.versions;
-            if (idx + 1 < vs.size()) {
-                const std::uint64_t succ = vs[idx + 1].writer;
+            st.readers.push_back({att.id, r.installSeq});
+            addRef(att.id);
+            if (vi + 1 < st.versions.size()) {
+                const std::uint64_t succ = st.versions[vi + 1].writer;
                 if (succ != 0 && succ != att.id)
-                    addEdge(att.id, succ, "RW", r.addr);
+                    addEdge(att.id, succ, "RW", st.addr);
             }
         }
     }
 
     bool outstanding = false;
-    for (const WriteIntent &in : pa.intents)
-        outstanding |= !in.applied;
-    if (outstanding)
-        slot.pending.push_back(std::move(pa));
+    for (std::size_t i = first; i < slot.pending.size(); ++i)
+        outstanding |= !slot.pending[i].applied;
+    if (!outstanding)
+        slot.pending.resize(first);
+    att.reset(0, 0);
 
     maybeGc();
 }
@@ -237,28 +323,23 @@ Checker::writeApplied(GlobalWarpId gwid, LaneId lane, Addr addr,
                       std::uint32_t value)
 {
     ++report_.writesApplied;
-    LaneSlot &slot = slots[slotKey(gwid, lane)];
+    LaneSlot &slot = laneSlot(gwid, lane);
     std::uint64_t owner = 0;
 
     // GETM / WarpTM-LL: applies land at the partitions after the lane
     // retired; the oldest pending intent for this address owns it.
-    for (PendingApply &pa : slot.pending) {
-        for (WriteIntent &in : pa.intents) {
-            if (!in.applied && in.addr == addr) {
-                in.applied = true;
-                owner = pa.tx;
-                if (in.value != value) {
-                    std::ostringstream os;
-                    os << "T" << pa.tx
-                       << " logged one value but memory got another";
-                    addViolation(ViolationKind::CorruptApply, addr,
-                                 pa.tx, in.value, value, os.str());
-                }
-                break;
-            }
+    for (WriteIntent &in : slot.pending) {
+        if (in.applied || in.addr != addr)
+            continue;
+        in.applied = true;
+        owner = in.tx;
+        if (in.value != value) {
+            std::ostringstream os;
+            os << "T" << in.tx << " logged one value but memory got another";
+            addViolation(ViolationKind::CorruptApply, addr, in.tx, in.value,
+                         value, os.str());
         }
-        if (owner)
-            break;
+        break;
     }
     if (!owner && slot.active) {
         // WarpTM-EL: core-side apply before the attempt retires.
@@ -271,15 +352,18 @@ Checker::writeApplied(GlobalWarpId gwid, LaneId lane, Addr addr,
     }
     installVersion(addr, owner, value);
 
-    while (!slot.pending.empty()) {
-        const PendingApply &front = slot.pending.front();
-        bool done = true;
-        for (const WriteIntent &in : front.intents)
-            done &= in.applied;
-        if (!done)
-            break;
-        slot.pending.pop_front();
+    // Drop the committed attempts at the front whose intents all
+    // landed: everything before the oldest attempt still waiting.
+    auto &pending = slot.pending;
+    auto open = std::find_if(pending.begin(), pending.end(),
+                             [](const WriteIntent &in) { return !in.applied; });
+    if (open == pending.end()) {
+        pending.clear();
+        return;
     }
+    while (open != pending.begin() && (open - 1)->tx == open->tx)
+        --open;
+    pending.erase(pending.begin(), open);
 }
 
 void
@@ -292,43 +376,81 @@ void
 Checker::installVersion(Addr addr, std::uint64_t writer,
                         std::uint32_t value)
 {
-    AddrState &st = shadow[addr];
+    const std::uint32_t idx = touch(addr);
+    const AddrState &st = shadow[idx];
     if (!st.versions.empty() && writer != 0 &&
         level_ >= CheckLevel::Serial) {
         const Version &prev = st.versions.back();
         if (prev.writer != 0 && prev.writer != writer)
             addEdge(prev.writer, writer, "WW", addr);
-        for (std::uint64_t reader : prev.committedReaders) {
-            if (reader != writer)
-                addEdge(reader, writer, "RW", addr);
+        for (std::size_t i = prev.readersFrom; i < st.readers.size(); ++i) {
+            const ReaderRec &rr = st.readers[i];
+            if (rr.installSeq == prev.installSeq && rr.tx != writer)
+                addEdge(rr.tx, writer, "RW", addr);
         }
         ensureNode(writer);
     }
-    st.versions.push_back({writer, value, ++eventSeq, {}});
+    pushVersion(idx, writer, value);
 }
 
-Checker::TxNode &
+std::uint32_t
 Checker::ensureNode(std::uint64_t tx)
 {
-    auto [it, fresh] = nodes.try_emplace(tx);
-    if (fresh)
-        it->second.ord = ++ordCounter;
-    return it->second;
+    if (tx >= nodeOf.size())
+        nodeOf.resize(tx + 1);
+    if (nodeOf[tx])
+        return nodeOf[tx] - 1;
+    std::uint32_t idx;
+    if (!freeNodes.empty()) {
+        idx = freeNodes.back();
+        freeNodes.pop_back();
+    } else {
+        idx = static_cast<std::uint32_t>(nodes.size());
+        nodes.emplace_back();
+        mark.push_back(0);
+        parent.push_back(0);
+    }
+    TxNode &node = nodes[idx];
+    node.id = tx;
+    node.ord = ++ordCounter;
+    nodeOf[tx] = idx + 1;
+    candidates.push_back(idx);
+    return idx;
 }
 
-Checker::Version *
-Checker::findVersion(AddrState &st, std::uint64_t install_seq,
-                     std::size_t *index)
+std::uint32_t
+Checker::findVersion(const AddrState &st, std::uint64_t install_seq)
 {
-    auto &vs = st.versions;
+    const auto &vs = st.versions;
+    if (vs.back().installSeq == install_seq)
+        return static_cast<std::uint32_t>(vs.size() - 1);
     auto it = std::lower_bound(
         vs.begin(), vs.end(), install_seq,
         [](const Version &v, std::uint64_t s) { return v.installSeq < s; });
     if (it == vs.end() || it->installSeq != install_seq)
-        return nullptr;
-    if (index)
-        *index = static_cast<std::size_t>(it - vs.begin());
-    return &*it;
+        return noIndex;
+    return static_cast<std::uint32_t>(it - vs.begin());
+}
+
+std::size_t
+Checker::outPos(const std::vector<std::uint32_t> &out, std::uint64_t id) const
+{
+    return static_cast<std::size_t>(
+        std::lower_bound(out.begin(), out.end(), id,
+                         [this](std::uint32_t a, std::uint64_t b) {
+                             return nodes[a].id < b;
+                         }) -
+        out.begin());
+}
+
+std::uint32_t
+Checker::nextMark()
+{
+    if (++markEpoch == 0) {
+        std::fill(mark.begin(), mark.end(), 0);
+        markEpoch = 1;
+    }
+    return markEpoch;
 }
 
 void
@@ -337,33 +459,40 @@ Checker::addEdge(std::uint64_t u, std::uint64_t v, const char *dep,
 {
     if (u == v)
         return;
-    TxNode &nu = ensureNode(u);
-    TxNode &nv = ensureNode(v); // references survive rehash
-    if (nu.out.count(v))
+    const std::uint32_t nu = ensureNode(u);
+    const std::uint32_t nv = ensureNode(v);
+    std::vector<std::uint32_t> &out = nodes[nu].out;
+    const std::size_t at = outPos(out, v);
+    if (at < out.size() && out[at] == nv)
         return;
 
-    if (nv.ord < nu.ord) {
+    if (nodes[nv].ord < nodes[nu].ord) {
         // Affected region: does v already reach u? (Sound because ord
         // is a valid topological order, so any v ->* u path stays
-        // within ord <= ord[u].)
-        const std::uint64_t ub = nu.ord;
-        std::unordered_map<std::uint64_t, std::uint64_t> parent;
-        std::vector<std::uint64_t> stack{v};
-        std::vector<std::uint64_t> deltaF;
-        parent.emplace(v, v);
+        // within ord <= ord[u].) Successors are explored in ascending
+        // tx id, so a reported cycle path does not depend on layout.
+        const std::uint64_t ub = nodes[nu].ord;
+        const std::uint32_t fwd = nextMark();
+        stack.assign(1, nv);
+        deltaF.clear();
+        mark[nv] = fwd;
+        parent[nv] = nv;
         bool cycle = false;
         while (!stack.empty()) {
-            const std::uint64_t x = stack.back();
+            const std::uint32_t x = stack.back();
             stack.pop_back();
-            if (x == u) {
+            if (x == nu) {
                 cycle = true;
                 break;
             }
             deltaF.push_back(x);
-            for (std::uint64_t y : nodes[x].out) {
-                if (parent.count(y) || nodes[y].ord > ub)
+            const auto &succ = nodes[x].out;
+            for (auto it = succ.rbegin(); it != succ.rend(); ++it) {
+                const std::uint32_t y = *it;
+                if (mark[y] == fwd || nodes[y].ord > ub)
                     continue;
-                parent.emplace(y, x);
+                mark[y] = fwd;
+                parent[y] = x;
                 stack.push_back(y);
             }
         }
@@ -372,8 +501,8 @@ Checker::addEdge(std::uint64_t u, std::uint64_t v, const char *dep,
             os << dep << " edge T" << u << "->T" << v << " on 0x"
                << std::hex << addr << std::dec << " closes cycle: T" << u;
             std::vector<std::uint64_t> path;
-            for (std::uint64_t x = u; x != v; x = parent[x])
-                path.push_back(x);
+            for (std::uint32_t x = nu; x != nv; x = parent[x])
+                path.push_back(nodes[x].id);
             path.push_back(v);
             for (auto it = path.rbegin(); it != path.rend(); ++it)
                 os << "->T" << *it;
@@ -383,43 +512,42 @@ Checker::addEdge(std::uint64_t u, std::uint64_t v, const char *dep,
         }
         // Reorder (Pearce-Kelly): shift the region reaching u below
         // the region reachable from v.
-        const std::uint64_t lb = nv.ord;
-        std::unordered_set<std::uint64_t> seen;
-        std::vector<std::uint64_t> deltaB;
-        stack.assign(1, u);
-        seen.insert(u);
+        const std::uint64_t lb = nodes[nv].ord;
+        const std::uint32_t bwd = nextMark();
+        stack.assign(1, nu);
+        deltaB.clear();
+        mark[nu] = bwd;
         while (!stack.empty()) {
-            const std::uint64_t x = stack.back();
+            const std::uint32_t x = stack.back();
             stack.pop_back();
             deltaB.push_back(x);
-            for (std::uint64_t y : nodes[x].in) {
-                if (seen.count(y) || nodes[y].ord < lb)
+            for (std::uint32_t y : nodes[x].in) {
+                if (mark[y] == bwd || nodes[y].ord < lb)
                     continue;
-                seen.insert(y);
+                mark[y] = bwd;
                 stack.push_back(y);
             }
         }
-        auto by_ord = [this](std::uint64_t a, std::uint64_t b) {
+        auto by_ord = [this](std::uint32_t a, std::uint32_t b) {
             return nodes[a].ord < nodes[b].ord;
         };
         std::sort(deltaB.begin(), deltaB.end(), by_ord);
         std::sort(deltaF.begin(), deltaF.end(), by_ord);
-        std::vector<std::uint64_t> pool;
-        pool.reserve(deltaB.size() + deltaF.size());
-        for (std::uint64_t x : deltaB)
-            pool.push_back(nodes[x].ord);
-        for (std::uint64_t x : deltaF)
-            pool.push_back(nodes[x].ord);
-        std::sort(pool.begin(), pool.end());
+        ordPool.clear();
+        for (std::uint32_t x : deltaB)
+            ordPool.push_back(nodes[x].ord);
+        for (std::uint32_t x : deltaF)
+            ordPool.push_back(nodes[x].ord);
+        std::sort(ordPool.begin(), ordPool.end());
         std::size_t slot = 0;
-        for (std::uint64_t x : deltaB)
-            nodes[x].ord = pool[slot++];
-        for (std::uint64_t x : deltaF)
-            nodes[x].ord = pool[slot++];
+        for (std::uint32_t x : deltaB)
+            nodes[x].ord = ordPool[slot++];
+        for (std::uint32_t x : deltaF)
+            nodes[x].ord = ordPool[slot++];
     }
 
-    nu.out.insert(v);
-    nv.in.insert(u);
+    out.insert(out.begin() + static_cast<std::ptrdiff_t>(at), nv);
+    nodes[nv].in.push_back(nu);
     ++report_.graphEdges;
 }
 
@@ -439,133 +567,245 @@ Checker::gc()
 
     // Pin everything a future event can still reference: in-flight
     // attempts, committed attempts with outstanding applies, and the
-    // exact versions in-flight reads bound to.
-    std::unordered_set<std::uint64_t> pinned;
-    std::unordered_map<Addr, std::unordered_set<std::uint64_t>> keepSeqs;
-    for (auto &[key, slot] : slots) {
-        (void)key;
+    // exact versions in-flight reads bound to. Writers and committed
+    // readers of surviving versions are pinned by their reference
+    // counts, kept up to date as versions come and go.
+    pinBits.assign(txCounter / 64 + 1, 0);
+    auto pin = [this](std::uint64_t tx) {
+        pinBits[tx >> 6] |= std::uint64_t{1} << (tx & 63);
+    };
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> keep_reads;
+    for (const LaneSlot &slot : slots) {
         if (slot.active) {
-            pinned.insert(slot.cur.id);
+            pin(slot.cur.id);
             for (const ReadRec &r : slot.cur.reads) {
-                keepSeqs[r.addr].insert(r.installSeq);
+                keep_reads.emplace_back(r.addrIdx, r.installSeq);
                 if (r.writer)
-                    pinned.insert(r.writer);
+                    pin(r.writer);
             }
         }
-        for (const PendingApply &pa : slot.pending)
-            pinned.insert(pa.tx);
+        for (const WriteIntent &in : slot.pending)
+            pin(in.tx);
     }
 
-    // Prune version lists to the newest version plus pinned ones; the
-    // writers and committed readers of surviving versions stay in the
-    // graph because future WW / RW / WR edges can still name them.
-    for (auto &[addr, st] : shadow) {
+    pruneVersions(keep_reads);
+    condenseGraph();
+}
+
+void
+Checker::pruneVersions(
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> &keep_reads)
+{
+    // Only addresses holding more than one version can shed any: prune
+    // each to its newest version plus the ones in-flight reads bound
+    // to, releasing the pruned versions' references.
+    std::sort(keep_reads.begin(), keep_reads.end());
+    std::size_t still_grown = 0;
+    for (std::uint32_t idx : grown) {
+        AddrState &st = shadow[idx];
         auto &vs = st.versions;
-        if (vs.size() > 1) {
-            auto keep_it = keepSeqs.find(addr);
-            std::vector<Version> kept;
-            for (std::size_t i = 0; i < vs.size(); ++i) {
-                const bool keep =
-                    i + 1 == vs.size() ||
-                    (keep_it != keepSeqs.end() &&
-                     keep_it->second.count(vs[i].installSeq));
-                if (keep)
-                    kept.push_back(std::move(vs[i]));
+        auto kr = std::lower_bound(keep_reads.begin(), keep_reads.end(),
+                                   std::make_pair(idx, std::uint64_t{0}));
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < vs.size(); ++i) {
+            bool keep_it = i + 1 == vs.size();
+            if (!keep_it) {
+                while (kr != keep_reads.end() && kr->first == idx &&
+                       kr->second < vs[i].installSeq)
+                    ++kr;
+                keep_it = kr != keep_reads.end() && kr->first == idx &&
+                          kr->second == vs[i].installSeq;
             }
-            vs = std::move(kept);
+            if (keep_it) {
+                vs[kept] = vs[i];
+                vs[kept++].readersFrom = 0;
+            } else if (vs[i].writer) {
+                dropRef(vs[i].writer);
+            }
         }
-        for (const Version &v : vs) {
-            if (v.writer)
-                pinned.insert(v.writer);
-            for (std::uint64_t r : v.committedReaders)
-                pinned.insert(r);
+        vs.resize(kept);
+        std::size_t kept_readers = 0;
+        for (const ReaderRec &rr : st.readers) {
+            if (findVersion(st, rr.installSeq) != noIndex)
+                st.readers[kept_readers++] = rr;
+            else
+                dropRef(rr.tx);
         }
+        st.readers.resize(kept_readers);
+        if (kept > 1)
+            grown[still_grown++] = idx;
     }
+    grown.resize(still_grown);
+}
 
-    if (level_ < CheckLevel::Serial || nodes.empty())
+void
+Checker::condenseGraph()
+{
+    // Sort the candidates: a pinned one stays (and is looked at again
+    // next pass if only a slot pin holds it), the rest retire. Every
+    // live node outside the list is referenced, hence pinned.
+    std::vector<std::uint8_t> retiring(nodes.size(), 0);
+    std::vector<std::uint32_t> retired, carried;
+    const std::uint32_t listed = nextMark();
+    for (std::uint32_t c : candidates) {
+        if (mark[c] == listed)
+            continue;
+        mark[c] = listed;
+        const std::uint64_t id = nodes[c].id;
+        if (pinned(id)) {
+            if (id >= refs.size() || refs[id] == 0)
+                carried.push_back(c);
+            continue;
+        }
+        retiring[c] = 1;
+        retired.push_back(c);
+    }
+    candidates.swap(carried);
+    if (retired.empty())
         return;
 
     // Condense: future edges only attach to pinned nodes, but a future
     // cycle may route *through* retired interior nodes, so preserve
     // pinned-to-pinned reachability with direct edges before dropping
-    // them. An existing u ->* p path implies ord[u] < ord[p], so the
+    // them. Only a pinned predecessor of a retiring node can gain one.
+    // An existing u ->* p path implies ord[u] < ord[p], so the
     // shortcut edge needs no reordering.
-    for (auto &[id, node] : nodes) {
-        if (!pinned.count(id))
-            continue;
-        std::vector<std::uint64_t> stack;
-        std::unordered_set<std::uint64_t> visited;
-        std::vector<std::uint64_t> reached;
-        for (std::uint64_t s : node.out) {
-            if (!pinned.count(s) && visited.insert(s).second)
-                stack.push_back(s);
+    std::vector<std::uint32_t> starts, reached;
+    const std::uint32_t started = nextMark();
+    for (std::uint32_t r : retired) {
+        for (std::uint32_t p : nodes[r].in) {
+            if (!retiring[p] && mark[p] != started) {
+                mark[p] = started;
+                starts.push_back(p);
+            }
         }
+    }
+    for (std::uint32_t p : starts) {
+        const std::uint32_t seen = nextMark();
+        stack.clear();
+        for (std::uint32_t s : nodes[p].out) {
+            if (retiring[s] && mark[s] != seen) {
+                mark[s] = seen;
+                stack.push_back(s);
+            }
+        }
+        reached.clear();
         while (!stack.empty()) {
-            const std::uint64_t x = stack.back();
+            const std::uint32_t x = stack.back();
             stack.pop_back();
-            for (std::uint64_t y : nodes[x].out) {
-                if (pinned.count(y)) {
+            for (std::uint32_t y : nodes[x].out) {
+                if (!retiring[y]) {
                     reached.push_back(y);
-                } else if (visited.insert(y).second) {
+                } else if (mark[y] != seen) {
+                    mark[y] = seen;
                     stack.push_back(y);
                 }
             }
         }
-        for (std::uint64_t p : reached) {
-            if (p != id && !node.out.count(p)) {
-                node.out.insert(p);
-                nodes[p].in.insert(id);
-            }
+        for (std::uint32_t q : reached) {
+            std::vector<std::uint32_t> &out = nodes[p].out;
+            const std::size_t at = outPos(out, nodes[q].id);
+            if (q == p || (at < out.size() && out[at] == q))
+                continue;
+            out.insert(out.begin() + static_cast<std::ptrdiff_t>(at), q);
+            nodes[q].in.push_back(p);
         }
     }
 
-    std::uint64_t removed = 0;
-    auto prune_set = [&](std::unordered_set<std::uint64_t> &s) {
-        for (auto it = s.begin(); it != s.end();) {
-            if (!pinned.count(*it))
-                it = s.erase(it);
-            else
-                ++it;
+    // Unlink the retiring nodes from their surviving neighbours, then
+    // return them to the pool.
+    std::vector<std::uint32_t> touched;
+    const std::uint32_t unlinked = nextMark();
+    auto touch_node = [&](std::uint32_t q) {
+        if (!retiring[q] && mark[q] != unlinked) {
+            mark[q] = unlinked;
+            touched.push_back(q);
         }
     };
-    for (auto it = nodes.begin(); it != nodes.end();) {
-        if (pinned.count(it->first)) {
-            prune_set(it->second.out);
-            prune_set(it->second.in);
-            ++it;
+    for (std::uint32_t r : retired) {
+        for (std::uint32_t q : nodes[r].out)
+            touch_node(q);
+        for (std::uint32_t q : nodes[r].in)
+            touch_node(q);
+    }
+    auto is_retiring = [&retiring](std::uint32_t x) { return retiring[x]; };
+    for (std::uint32_t q : touched) {
+        std::erase_if(nodes[q].out, is_retiring);
+        std::erase_if(nodes[q].in, is_retiring);
+    }
+    for (std::uint32_t r : retired) {
+        TxNode &node = nodes[r];
+        nodeOf[node.id] = 0;
+        node.id = 0;
+        node.out.clear();
+        node.in.clear();
+        freeNodes.push_back(r);
+    }
+    report_.nodesReclaimed += retired.size();
+}
+
+void
+Checker::rebuildDerived()
+{
+    cells.clear();
+    std::size_t capacity = 1024;
+    while (capacity < 2 * (shadow.size() + 1))
+        capacity *= 2;
+    reindex(capacity);
+
+    grown.clear();
+    refs.assign(txCounter + 1, 0);
+    for (std::uint32_t idx = 0; idx < shadow.size(); ++idx) {
+        const auto &vs = shadow[idx].versions;
+        if (vs.size() > 1)
+            grown.push_back(idx);
+        for (const Version &v : vs) {
+            if (v.writer)
+                addRef(v.writer);
+        }
+        for (const ReaderRec &rr : shadow[idx].readers)
+            addRef(rr.tx);
+    }
+
+    // Every live node becomes a candidate of the next pass: a superset
+    // of the uninterrupted run's list, which changes no outcome.
+    nodeOf.assign(txCounter + 1, 0);
+    freeNodes.clear();
+    candidates.clear();
+    for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+        if (nodes[i].id) {
+            nodeOf[nodes[i].id] = i + 1;
+            candidates.push_back(i);
         } else {
-            it = nodes.erase(it);
-            ++removed;
+            freeNodes.push_back(i);
         }
     }
-    report_.nodesReclaimed += removed;
+    mark.assign(nodes.size(), 0);
+    parent.assign(nodes.size(), 0);
+    markEpoch = 0;
 }
 
 void
 Checker::finish(const BackingStore &store)
 {
-    for (const auto &[key, slot] : slots) {
-        (void)key;
-        for (const PendingApply &pa : slot.pending) {
-            for (const WriteIntent &in : pa.intents) {
-                if (in.applied)
-                    continue;
-                std::ostringstream os;
-                os << "T" << pa.tx << " committed a write to 0x"
-                   << std::hex << in.addr << std::dec
-                   << " that never reached memory";
-                addViolation(ViolationKind::LostWrite, in.addr, pa.tx,
-                             in.value, store.read(in.addr), os.str());
-            }
+    for (const LaneSlot &slot : slots) {
+        for (const WriteIntent &in : slot.pending) {
+            if (in.applied)
+                continue;
+            std::ostringstream os;
+            os << "T" << in.tx << " committed a write to 0x" << std::hex
+               << in.addr << std::dec << " that never reached memory";
+            addViolation(ViolationKind::LostWrite, in.addr, in.tx,
+                         in.value, store.read(in.addr), os.str());
         }
     }
-    for (const auto &[addr, st] : shadow) {
-        const std::uint32_t actual = store.read(addr);
+    for (const AddrState &st : shadow) {
+        const std::uint32_t actual = store.read(st.addr);
         if (actual != st.versions.back().value) {
             std::ostringstream os;
-            os << "memory at 0x" << std::hex << addr << std::dec
+            os << "memory at 0x" << std::hex << st.addr << std::dec
                << " diverged from the applied-write shadow";
-            addViolation(ViolationKind::FinalStateMismatch, addr, 0,
+            addViolation(ViolationKind::FinalStateMismatch, st.addr, 0,
                          st.versions.back().value, actual, os.str());
         }
     }
@@ -575,15 +815,14 @@ void
 Checker::crossCheckReference(const BackingStore &ref,
                              const BackingStore &actual)
 {
-    for (const auto &[addr, st] : shadow) {
-        (void)st;
-        const std::uint32_t want = ref.read(addr);
-        const std::uint32_t got = actual.read(addr);
+    for (const AddrState &st : shadow) {
+        const std::uint32_t want = ref.read(st.addr);
+        const std::uint32_t got = actual.read(st.addr);
         if (want != got) {
             std::ostringstream os;
-            os << "final memory at 0x" << std::hex << addr << std::dec
+            os << "final memory at 0x" << std::hex << st.addr << std::dec
                << " differs from the sequential reference execution";
-            addViolation(ViolationKind::RefMismatch, addr, 0, want, got,
+            addViolation(ViolationKind::RefMismatch, st.addr, 0, want, got,
                          os.str());
         }
     }

@@ -19,10 +19,10 @@
  * Unordered containers and byte determinism
  * -----------------------------------------
  * The simulator's byte-determinism contract makes the *iteration
- * order* of several std::unordered_map/set instances observable (the
- * checker's finish() samples, GETM's grant-table walks, ...). A
- * restored container must therefore reproduce the original's internal
- * layout exactly, not just its contents. libstdc++'s hashtable keeps
+ * order* of several std::unordered_map/set instances observable (GETM's
+ * grant-table walks, ...). A restored container must therefore
+ * reproduce the original's internal layout exactly, not just its
+ * contents. libstdc++'s hashtable keeps
  * every node on one forward list with each bucket's nodes contiguous,
  * prepends within a bucket, and moves a freshly-touched bucket to the
  * list head — so writing (bucket_count, entries in iteration order)

@@ -275,9 +275,12 @@ TxTracer::txAbort(GlobalWarpId gwid, AbortReason reason, Addr addr,
     tx->rec.aborts.push_back(rec);
     if (emit.warpInstant) {
         std::string name = "killed-by:";
-        name += rec.aborter == invalidWarp
-                    ? "?"
-                    : "w" + std::to_string(rec.aborter);
+        if (rec.aborter == invalidWarp) {
+            name += '?';
+        } else {
+            name += 'w';
+            name += std::to_string(rec.aborter);
+        }
         emit.warpInstant(tx->rec.core, tx->rec.slot, name, now);
     }
 }

@@ -279,8 +279,9 @@ TEST_P(OltpWorkloadTest, RunsAndVerifies)
     const RunResult result =
         gpu.run(workload->kernel(), workload->numThreads(), 80'000'000);
     EXPECT_GT(result.cycles, 0u);
-    if (combo.protocol != ProtocolKind::FgLock)
+    if (combo.protocol != ProtocolKind::FgLock) {
         EXPECT_GT(result.commits, 0u);
+    }
     std::string why;
     EXPECT_TRUE(workload->verify(gpu, why)) << why;
 }

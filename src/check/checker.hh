@@ -2,7 +2,8 @@
  * @file
  * Online serializability & opacity checker.
  *
- * The Checker consumes the CheckSink event stream and maintains, in
+ * The Checker consumes the transaction events the TxEvents hub
+ * (obs/tx_events.hh) fans out to it and maintains, in
  * lockstep with functional memory, a *shadow* multi-version history of
  * every address the simulation touches. Because every BackingStore
  * mutation on a simulated path has an adjacent writeApplied() /
@@ -57,28 +58,35 @@
 #include <utility>
 #include <vector>
 
-#include "check/sink.hh"
 #include "check/violation.hh"
+#include "common/types.hh"
 #include "mem/backing_store.hh"
+#include "tm/tx_log.hh"
 
 namespace getm {
 
-class Checker : public CheckSink
+/**
+ * Attribution: (gwid, lane) identifies a thread slot; the checker
+ * tracks attempts per slot because partition messages do not carry
+ * thread ids and global warp ids are reused across warp relaunches.
+ */
+class Checker
 {
   public:
     explicit Checker(CheckLevel level);
 
-    // CheckSink events (see sink.hh for the placement contract).
+    // Events from the TxEvents hub; obs/tx_events.hh states where
+    // each one fires.
     void attemptBegin(GlobalWarpId gwid, LaneMask lanes,
-                      std::uint32_t first_tid) override;
+                      std::uint32_t first_tid);
     void readObserved(GlobalWarpId gwid, LaneId lane, Addr addr,
-                      std::uint32_t value) override;
-    void attemptAborted(GlobalWarpId gwid, LaneMask lanes) override;
+                      std::uint32_t value);
+    void attemptAborted(GlobalWarpId gwid, LaneMask lanes);
     void attemptCommitted(GlobalWarpId gwid, LaneId lane,
-                          const std::vector<LogEntry> &writes) override;
+                          const std::vector<LogEntry> &writes);
     void writeApplied(GlobalWarpId gwid, LaneId lane, Addr addr,
-                      std::uint32_t value) override;
-    void externalWrite(Addr addr, std::uint32_t value) override;
+                      std::uint32_t value);
+    void externalWrite(Addr addr, std::uint32_t value);
 
     /**
      * End-of-run pass: report LostWrite for commit intent that never

@@ -8,6 +8,7 @@
 #include "common/log.hh"
 #include "common/sim_error.hh"
 #include "gpu/run_result.hh"
+#include "obs/tx_events.hh"
 
 namespace getm {
 
@@ -42,12 +43,7 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
             intra_aborts |= 1u << lane;
             if (intra_addr == invalidAddr)
                 intra_addr = core.granuleOf(addr);
-            if (ObsSink *obs = core.observer())
-                obs->conflictEvent(
-                    AbortReason::IntraWarp, core.granuleOf(addr),
-                    core.addressMap().partitionOf(addr), core.now());
-            if (ObsSink *tracer = core.tracer())
-                tracer->txConflict(warp.gwid, warp.gwid,
+            core.events().conflict(warp.gwid, warp.gwid,
                                    AbortReason::IntraWarp,
                                    core.granuleOf(addr),
                                    core.addressMap().partitionOf(addr),
@@ -100,8 +96,7 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
             pending &= ~(1u << lane);
         }
         msg.bytes = 12; // address + warpts + warp id
-        if (ObsSink *tracer = core.tracer())
-            tracer->txAccessIssue(warp.gwid, granule, is_store,
+        core.events().accessIssue(warp.gwid, granule, is_store,
                                   core.now());
         core.sendToPartition(std::move(msg));
         if (is_store) {
@@ -124,8 +119,7 @@ GetmCoreTm::onResponse(Warp &warp, const MemMsg &msg)
     for (const LaneOp &op : msg.ops)
         lanes |= 1u << op.lane;
 
-    if (ObsSink *tracer = core.tracer())
-        tracer->txAccessResponse(warp.gwid, msg.addr, core.now());
+    core.events().accessResponse(warp.gwid, msg.addr, core.now());
 
     switch (msg.kind) {
       case MsgKind::GetmLoadResp:

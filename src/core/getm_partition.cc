@@ -3,10 +3,10 @@
 #include <algorithm>
 
 #include "check/fault.hh"
-#include "check/sink.hh"
 #include "ckpt/serial.hh"
 #include "common/debug.hh"
 #include "common/log.hh"
+#include "obs/tx_events.hh"
 
 namespace getm {
 
@@ -30,7 +30,7 @@ GetmPartitionUnit::handleRequest(MemMsg &&msg, Cycle now)
     // Tracer charges use the true pop cycle, not the serialized
     // now + busy offsets threaded through processCommit/releaseWaiters:
     // the tracer's per-warp cursor must never run ahead of simulated
-    // time or the exact-sum invariant breaks (see TxTracer::charge).
+    // time or the exact-sum invariant breaks (obs/tx_tracer.cc charge()).
     traceNow = now;
     switch (msg.kind) {
       case MsgKind::GetmTxLoad:
@@ -59,8 +59,7 @@ GetmPartitionUnit::respondLoad(const MemMsg &msg, Cycle ready, Cycle now)
     for (const LaneOp &op : msg.ops) {
         // Data is bound at the serialization point (now), not delivery.
         const std::uint32_t value = ctx.memory().read(op.addr);
-        if (CheckSink *cs = ctx.check())
-            cs->readObserved(msg.wid, op.lane, op.addr, value);
+        ctx.events().readObserved(msg.wid, op.lane, op.addr, value);
         resp.ops.push_back({op.lane, op.addr, value, 0});
         extra = std::max(
             extra, ctx.accessLlc(op.addr, /*is_write=*/false, now));
@@ -88,7 +87,7 @@ GetmPartitionUnit::respondStoreAck(const MemMsg &msg, Cycle ready)
 void
 GetmPartitionUnit::respondAbort(const MemMsg &msg, LogicalTs observed,
                                 Cycle ready, AbortReason reason,
-                                Addr granule, Cycle now)
+                                Cycle now)
 {
     MemMsg resp;
     resp.kind = msg.kind == MsgKind::GetmTxLoad ? MsgKind::GetmLoadResp
@@ -104,11 +103,8 @@ GetmPartitionUnit::respondAbort(const MemMsg &msg, LogicalTs observed,
     resp.ops = msg.ops;
     resp.bytes = 12;
     stVuAborts.add();
-    if (ObsSink *sink = ctx.obs())
-        sink->conflictEvent(reason, granule, ctx.partitionId(), now);
-    if (ObsSink *tracer = ctx.trace())
-        tracer->txAccessDecision(msg.wid, msg.addr, ctx.partitionId(),
-                                 /*ok=*/false, now, ready);
+    ctx.events().accessDecision(msg.wid, msg.addr, ctx.partitionId(),
+                                /*ok=*/false, now, ready);
     ctx.scheduleToCore(std::move(resp), ready);
 }
 
@@ -151,9 +147,8 @@ GetmPartitionUnit::processAccess(MemMsg &&msg, Cycle now)
             entry.numWrites += count;
             respondStoreAck(msg, ready);
         }
-        if (ObsSink *tracer = ctx.trace())
-            tracer->txAccessDecision(msg.wid, msg.addr, ctx.partitionId(),
-                                     /*ok=*/true, now, ready);
+        ctx.events().accessDecision(msg.wid, msg.addr, ctx.partitionId(),
+                                    /*ok=*/true, now, ready);
         entry.approxSeeded = false;
         stOwnerHits.add();
         return busy;
@@ -188,20 +183,18 @@ GetmPartitionUnit::processAccess(MemMsg &&msg, Cycle now)
             entry.numWrites += count;
             meta.noteTimestamp(entry.wts);
             respondStoreAck(msg, ready);
-            if (ObsSink *tracer = ctx.trace())
-                tracer->txAccessDecision(msg.wid, msg.addr,
-                                         ctx.partitionId(), /*ok=*/true,
-                                         now, ready);
+            ctx.events().accessDecision(msg.wid, msg.addr,
+                                        ctx.partitionId(), /*ok=*/true,
+                                        now, ready);
             entry.approxSeeded = false;
             return busy;
         }
         // Genealogy: when the granule is still reserved, the current
         // owner is the logically-later transaction this one lost to.
-        if (ObsSink *tracer = ctx.trace())
-            tracer->txConflict(msg.wid,
-                               entry.locked() ? entry.owner : invalidWarp,
-                               reason, granule, ctx.partitionId(), now);
-        respondAbort(msg, observed, ready, reason, granule, now);
+        ctx.events().conflict(msg.wid,
+                              entry.locked() ? entry.owner : invalidWarp,
+                              reason, granule, ctx.partitionId(), now);
+        respondAbort(msg, observed, ready, reason, now);
         return busy;
     }
 
@@ -211,21 +204,16 @@ GetmPartitionUnit::processAccess(MemMsg &&msg, Cycle now)
         MemMsg queued = std::move(msg);
         const MemMsg probe = queued; // copy for potential abort response
         if (!stall.enqueue(granule, std::move(queued), now)) {
-            if (ObsSink *tracer = ctx.trace())
-                tracer->txConflict(probe.wid, entry.owner,
-                                   AbortReason::StallBufferFull, granule,
-                                   ctx.partitionId(), now);
+            ctx.events().conflict(probe.wid, entry.owner,
+                                  AbortReason::StallBufferFull, granule,
+                                  ctx.partitionId(), now);
             respondAbort(probe, observed, ready,
-                         AbortReason::StallBufferFull, granule, now);
+                         AbortReason::StallBufferFull, now);
         } else {
             stStalledRequests.add();
-            if (ObsSink *sink = ctx.obs())
-                sink->stallEvent(AbortReason::LockedByWriter, granule,
-                                 ctx.partitionId(),
-                                 stall.waitersOn(granule), now);
-            if (ObsSink *tracer = ctx.trace())
-                tracer->txStallEnter(probe.wid, granule,
-                                     ctx.partitionId(), traceNow);
+            ctx.events().stallEnter(probe.wid, AbortReason::LockedByWriter,
+                                    granule, ctx.partitionId(),
+                                    stall.waitersOn(granule), traceNow);
         }
         return busy;
     }
@@ -245,9 +233,8 @@ GetmPartitionUnit::processAccess(MemMsg &&msg, Cycle now)
         meta.noteTimestamp(entry.wts);
         respondStoreAck(msg, ready);
     }
-    if (ObsSink *tracer = ctx.trace())
-        tracer->txAccessDecision(msg.wid, msg.addr, ctx.partitionId(),
-                                 /*ok=*/true, now, ready);
+    ctx.events().accessDecision(msg.wid, msg.addr, ctx.partitionId(),
+                                /*ok=*/true, now, ready);
     entry.approxSeeded = false;
     return busy;
 }
@@ -279,8 +266,7 @@ GetmPartitionUnit::processCommit(const MemMsg &msg, Cycle now)
                 if (fi && fi->fire(FaultKind::CorruptCommit))
                     value ^= 1u;
                 ctx.memory().write(op.addr, value);
-                if (CheckSink *cs = ctx.check())
-                    cs->writeApplied(msg.wid, op.lane, op.addr, value);
+                ctx.events().writeApplied(msg.wid, op.lane, op.addr, value);
             }
             ctx.accessLlc(op.addr, /*is_write=*/true, now);
             granule = granuleOf(op.addr);
@@ -339,11 +325,8 @@ GetmPartitionUnit::releaseWaiters(Addr granule, Cycle now)
         }
         Cycle enqueued_at = 0;
         MemMsg queued = stall.popOldest(granule, &enqueued_at);
-        if (ObsSink *sink = ctx.obs())
-            sink->stallRelease(ctx.partitionId(), now + busy);
-        if (ObsSink *tracer = ctx.trace())
-            tracer->txStallExit(queued.wid, granule, ctx.partitionId(),
-                                enqueued_at, traceNow);
+        ctx.events().stallExit(queued.wid, granule, ctx.partitionId(),
+                               enqueued_at, traceNow);
         busy += processAccess(std::move(queued), now + busy);
         stStallGrants.add();
     }
@@ -354,17 +337,13 @@ void
 GetmPartitionUnit::flushForRollover(Cycle now, Cycle penalty)
 {
     traceNow = now;
-    // Balance the sink's live-occupancy gauge for dropped waiters.
-    if (ObsSink *sink = ctx.obs())
-        for (unsigned i = stall.occupancy(); i > 0; --i)
-            sink->stallRelease(ctx.partitionId(), 0);
-    // Close the tracer's open dwell spans: rollover drops the waiters,
-    // so their stall time ends here (the cores restart them fresh).
-    if (ObsSink *tracer = ctx.trace())
-        stall.forEachWaiter([&](const MemMsg &msg, Cycle enqueued_at) {
-            tracer->txStallExit(msg.wid, granuleOf(msg.addr),
-                                ctx.partitionId(), enqueued_at, now);
-        });
+    // Rollover drops the waiters, so their stall ends here (the cores
+    // restart them fresh): balance the live-occupancy gauge and close
+    // the tracer's open dwell spans.
+    stall.forEachWaiter([&](const MemMsg &msg, Cycle enqueued_at) {
+        ctx.events().stallExit(msg.wid, granuleOf(msg.addr),
+                               ctx.partitionId(), enqueued_at, now);
+    });
     stall.flush();
     meta.flush();
     ctx.addPipelineStall(now, penalty);

@@ -18,6 +18,7 @@
 
 #include "core/metadata_table.hh"
 #include "core/stall_buffer.hh"
+#include "obs/abort_reason.hh"
 #include "tm/partition_iface.hh"
 
 namespace getm {
@@ -80,7 +81,7 @@ class GetmPartitionUnit : public TmPartitionProtocol
      * attribute the abort; @p granule feeds the hot-address profiler.
      */
     void respondAbort(const MemMsg &msg, LogicalTs observed, Cycle ready,
-                      AbortReason reason, Addr granule, Cycle now);
+                      AbortReason reason, Cycle now);
 
     PartitionContext &ctx;
     GetmPartitionConfig cfg;

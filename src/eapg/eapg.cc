@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#include "ckpt/serial.hh"
 
-// Checker/fault-injection coverage: EAPG adds only the broadcast
+#include "ckpt/serial.hh"
+#include "obs/tx_events.hh"
+
+// Checking/fault-injection coverage: EAPG adds only the broadcast
 // machinery below on top of WarpTM-LL; loads, validation, and commit
 // applies all run through the inherited WtmPartitionUnit /
-// WtmCoreTm paths, whose CheckSink hooks and FaultInjector sites
+// WtmCoreTm paths, whose TxEvents calls and FaultInjector sites
 // (commit-stale-read, corrupt-commit, drop-commit-write) therefore
 // cover EAPG with no additional instrumentation here.
 
@@ -104,18 +106,11 @@ EapgCoreTm::onBroadcast(const MemMsg &msg)
                     hit |= 1u << lane;
                     if (conflict == invalidAddr)
                         conflict = core.granuleOf(entry.addr);
-                    if (ObsSink *obs = core.observer())
-                        obs->conflictEvent(
-                            AbortReason::EarlyAbort,
-                            core.granuleOf(entry.addr),
-                            core.addressMap().partitionOf(entry.addr),
-                            core.now());
-                    if (ObsSink *tracer = core.tracer())
-                        tracer->txConflict(
-                            warp.gwid, msg.wid, AbortReason::EarlyAbort,
-                            core.granuleOf(entry.addr),
-                            core.addressMap().partitionOf(entry.addr),
-                            core.now());
+                    core.events().conflict(
+                        warp.gwid, msg.wid, AbortReason::EarlyAbort,
+                        core.granuleOf(entry.addr),
+                        core.addressMap().partitionOf(entry.addr),
+                        core.now());
                     break;
                 }
             }

@@ -21,18 +21,15 @@
 #include "gpu/gpu_config.hh"
 #include "gpu/mem_partition.hh"
 #include "gpu/run_result.hh"
-#include "gpu/timeline.hh"
 #include "isa/kernel.hh"
 #include "mem/address_map.hh"
 #include "mem/backing_store.hh"
 #include "noc/crossbar.hh"
-#include "obs/observability.hh"
-#include "obs/tx_tracer.hh"
+#include "obs/tx_events.hh"
 #include "simt/simt_core.hh"
 
 namespace getm {
 
-class Checker;
 class FaultInjector;
 
 /** The simulated GPU. */
@@ -158,6 +155,9 @@ class GpuSystem
     GpuConfig cfg;
     BackingStore store;
     AddressMap addrMap;
+    /** The instrument hub every core and partition reports into; its
+     *  pointers name the instruments below that this run enables. */
+    TxEvents events;
     Crossbar<MemMsg> xbarUp;
     Crossbar<MemMsg> xbarDown;
     std::vector<std::unique_ptr<SimtCore>> coreArray;

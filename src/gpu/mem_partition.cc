@@ -3,23 +3,23 @@
 #include <algorithm>
 #include <utility>
 
-#include "check/sink.hh"
 #include "common/log.hh"
 #include "gpu/gpu_config.hh"
+#include "obs/tx_events.hh"
 
 namespace getm {
 
 MemPartition::MemPartition(PartitionId id_, const GpuConfig &config,
                            const AddressMap &map, BackingStore &store_,
                            Crossbar<MemMsg> &up, Crossbar<MemMsg> &down,
-                           unsigned num_cores)
+                           unsigned num_cores, const TxEvents &events)
     : id(id_), cores(num_cores), llcLat(config.llcLatency), addrMap(map),
       store(store_), xbarUp(up), xbarDown(down),
       llcCache("part" + std::to_string(id_) + ".llc",
                config.llcBytesPerPartition, config.llcAssoc,
                config.lineBytes),
       dram("part" + std::to_string(id_) + ".dram", config.dram),
-      statSet("part" + std::to_string(id_)),
+      hub(events), statSet("part" + std::to_string(id_)),
       stDramWritebacks(statSet.addCounter("dram_writebacks")),
       stNtxReads(statSet.addCounter("ntx_reads")),
       stNtxWrites(statSet.addCounter("ntx_writes")),
@@ -122,8 +122,7 @@ MemPartition::handleLocal(MemMsg &&msg, Cycle now)
             // serialization point; apply, notify TCD, and ack.
             for (const LaneOp &op : msg.ops) {
                 store.write(op.addr, op.value);
-                if (checkSink)
-                    checkSink->externalWrite(op.addr, op.value);
+                hub.externalWrite(op.addr, op.value);
                 if (proto)
                     proto->noteDataWrite(op.addr, now);
             }
@@ -163,8 +162,7 @@ MemPartition::handleLocal(MemMsg &&msg, Cycle now)
                 old = store.atomicAdd(op.addr, op.value);
                 break;
             }
-            if (checkSink)
-                checkSink->externalWrite(op.addr, store.read(op.addr));
+            hub.externalWrite(op.addr, store.read(op.addr));
             if (proto)
                 proto->noteDataWrite(op.addr, now);
             resp.ops.push_back({op.lane, op.addr, old, 0});

@@ -35,7 +35,7 @@ class MemPartition : public PartitionContext
     MemPartition(PartitionId id, const GpuConfig &config,
                  const AddressMap &map, BackingStore &store,
                  Crossbar<MemMsg> &up, Crossbar<MemMsg> &down,
-                 unsigned num_cores);
+                 unsigned num_cores, const TxEvents &events);
 
     /** Install the protocol unit (may be null for the lock baseline). */
     void setProtocol(std::unique_ptr<TmPartitionProtocol> unit);
@@ -51,15 +51,6 @@ class MemPartition : public PartitionContext
 
     TmPartitionProtocol *protocol() { return proto.get(); }
     CacheModel &llc() { return llcCache; }
-
-    /** Install the observability sink (may be null). */
-    void setObserver(ObsSink *s) { sink = s; }
-
-    /** Install the transaction tracer (may be null). */
-    void setTracer(ObsSink *t) { traceSink = t; }
-
-    /** Install the runtime checker sink (may be null). */
-    void setChecker(CheckSink *s) { checkSink = s; }
 
     /** Install the fault injector (may be null). */
     void setFaults(FaultInjector *f) { faultInj = f; }
@@ -79,9 +70,7 @@ class MemPartition : public PartitionContext
     Cycle llcLatency() const override { return llcLat; }
     BackingStore &memory() override { return store; }
     StatSet &stats() override { return statSet; }
-    ObsSink *obs() override { return sink; }
-    ObsSink *trace() override { return traceSink; }
-    CheckSink *check() override { return checkSink; }
+    const TxEvents &events() const override { return hub; }
     FaultInjector *faults() override { return faultInj; }
 
     /** Checkpoint hook for everything but the protocol unit (which the
@@ -123,9 +112,7 @@ class MemPartition : public PartitionContext
     CacheModel llcCache;
     DramModel dram;
     std::unique_ptr<TmPartitionProtocol> proto;
-    ObsSink *sink = nullptr;
-    ObsSink *traceSink = nullptr;
-    CheckSink *checkSink = nullptr;
+    const TxEvents &hub;
     FaultInjector *faultInj = nullptr;
 
     Cycle popFree = 0;

@@ -4,10 +4,10 @@
  *
  * Every abort and every stall-buffer entry in the simulator is tagged
  * with one of these typed reasons plus (when known) the conflicting
- * address, and reported through the common ObsSink interface. Using a
- * single enum across GETM, WarpTM, and EAPG means exported metrics have
- * zero per-protocol stat-name drift: the same reason always serializes
- * to the same string.
+ * address, and reported through the TxEvents hub (obs/tx_events.hh).
+ * Using a single enum across GETM, WarpTM, and EAPG means exported
+ * metrics have zero per-protocol stat-name drift: the same reason
+ * always serializes to the same string.
  *
  * GETM reasons follow the validation-unit flowchart (paper Fig. 6):
  * timestamp-order conflicts split by hazard kind, stalls behind older

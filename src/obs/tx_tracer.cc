@@ -196,11 +196,11 @@ TxTracer::txAccessResponse(GlobalWarpId gwid, Addr granule, Cycle now)
         if (it->granule != granule || !it->decided)
             continue;
         ++tx->rec.accessesCompleted;
-        if (emit.warpSpan)
-            emit.warpSpan(tx->rec.core, tx->rec.slot,
-                          std::string(it->store ? "tx-st " : "tx-ld ") +
-                              hexAddr(granule),
-                          it->issue, now - it->issue);
+        if (mirror)
+            mirror->complete(tx->rec.core, tx->rec.slot,
+                             std::string(it->store ? "tx-st " : "tx-ld ") +
+                                 hexAddr(granule),
+                             it->issue, now - it->issue);
         tx->accesses.erase(it);
         return;
     }
@@ -228,10 +228,10 @@ TxTracer::txStallExit(GlobalWarpId gwid, Addr granule,
     charge(*tx, now);
     if (tx->stallDepth > 0)
         --tx->stallDepth;
-    if (emit.vuSpan)
-        emit.vuSpan(partition,
-                    std::string("stall ") + hexAddr(granule), enqueued,
-                    now - enqueued);
+    if (mirror)
+        mirror->complete(vuPid, partition,
+                         std::string("stall ") + hexAddr(granule),
+                         enqueued, now - enqueued);
 }
 
 void
@@ -273,7 +273,7 @@ TxTracer::txAbort(GlobalWarpId gwid, AbortReason reason, Addr addr,
     }
     tx->conflictPending = false;
     tx->rec.aborts.push_back(rec);
-    if (emit.warpInstant) {
+    if (mirror) {
         std::string name = "killed-by:";
         if (rec.aborter == invalidWarp) {
             name += '?';
@@ -281,7 +281,7 @@ TxTracer::txAbort(GlobalWarpId gwid, AbortReason reason, Addr addr,
             name += 'w';
             name += std::to_string(rec.aborter);
         }
-        emit.warpInstant(tx->rec.core, tx->rec.slot, name, now);
+        mirror->instant(tx->rec.core, tx->rec.slot, name.c_str(), now);
     }
 }
 
@@ -301,9 +301,10 @@ TxTracer::txValidation(GlobalWarpId gwid, PartitionId partition,
     LiveTx *tx = find(gwid);
     if (!tx)
         return;
-    if (emit.vuSpan)
-        emit.vuSpan(partition, pass ? "validate" : "validate-fail",
-                    start, end - start);
+    if (mirror)
+        mirror->complete(vuPid, partition,
+                         pass ? "validate" : "validate-fail", start,
+                         end - start);
 }
 
 void

@@ -2,7 +2,8 @@
  * @file
  * Sampled per-transaction lifecycle tracer.
  *
- * The TxTracer consumes the ObsSink tx* lifecycle events and, for
+ * The TxTracer consumes the tx* lifecycle events the TxEvents hub
+ * (obs/tx_events.hh) fans out to it and, for
  * every Nth transaction (the sample rate; 1 = all), assembles:
  *
  *  - exact cycle accounting: a telescoping cursor charges every
@@ -21,9 +22,9 @@
  *    spans, stall dwell, and "killed-by" instants.
  *
  * The tracer is strictly observe-only: it owns no wake sources, sends
- * no messages, and is reached through a dedicated trace pointer that
- * stays null unless tracing is enabled, so it can never perturb
- * simulated timing (the TracerInvisible tests enforce this).
+ * no messages, and the hub's tracer pointer stays null unless tracing
+ * is enabled, so it can never perturb simulated timing (the
+ * InstrumentsInvisible tests enforce this).
  */
 
 #ifndef GETM_OBS_TX_TRACER_HH
@@ -31,15 +32,30 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/abort_reason.hh"
 #include "obs/schema_version.hh"
-#include "obs/sink.hh"
+#include "obs/timeline.hh"
 
 namespace getm {
+
+/**
+ * Coarse transaction lifecycle phase, mapped from the warp scheduler
+ * state by the reporting core. The tracer charges wall-clock slices of
+ * a transaction attempt to exactly one phase at a time (with an
+ * overlay for stall-buffer dwell), so the per-phase cycle accounting
+ * telescopes to the attempt's lifetime with no gaps or overlaps.
+ */
+enum class TxPhase : std::uint8_t
+{
+    Exec,     ///< Ready/PipelineWait: issuing transactional work.
+    Mem,      ///< MemWait: NoC round-trips outstanding.
+    Validate, ///< CommitWait: commit/validation sequence in flight.
+    Backoff,  ///< BackoffWait/ThrottleWait: waiting to retry.
+};
 
 /** One abort suffered by a traced transaction (a kill-chain link). */
 struct TxAbortRecord
@@ -160,70 +176,52 @@ struct TxTraceReport
                   rawBackoff = 0;
 };
 
-/**
- * Optional Perfetto mirroring. The obs layer stays independent of
- * src/gpu (where the Timeline lives), so GpuSystem installs closures:
- * warpSpan/warpInstant land on the existing per-warp tracks, vuSpan on
- * the validation-unit pseudo-process (one thread per partition).
- */
-struct TxTraceEmit
-{
-    std::function<void(CoreId core, std::uint32_t slot,
-                       const std::string &name, Cycle ts, Cycle dur)>
-        warpSpan;
-    std::function<void(CoreId core, std::uint32_t slot,
-                       const std::string &name, Cycle ts)>
-        warpInstant;
-    std::function<void(PartitionId partition, const std::string &name,
-                       Cycle ts, Cycle dur)>
-        vuSpan;
-};
-
-/** The lifecycle-event consumer behind the trace pointer. */
-class TxTracer : public ObsSink
+/** The per-transaction lifecycle consumer (TxEvents::tracer). */
+class TxTracer
 {
   public:
     /** Trace every @p sampleRate'th transaction (>= 1). */
     explicit TxTracer(std::uint64_t sampleRate);
 
-    /** Mirror spans into a Perfetto timeline (see TxTraceEmit). */
-    void setEmit(TxTraceEmit fns) { emit = std::move(fns); }
-
-    // Aggregate ObsSink events are not the tracer's business (they
-    // keep flowing to the Observability hub); no-op them.
-    void abortEvent(AbortReason, Addr, PartitionId, unsigned,
-                    Cycle) override {}
-    void conflictEvent(AbortReason, Addr, PartitionId, Cycle) override {}
-    void stallEvent(AbortReason, Addr, PartitionId, unsigned,
-                    Cycle) override {}
-    void stallRelease(PartitionId, Cycle) override {}
+    /**
+     * Mirror access, stall and validation spans and "killed-by"
+     * instants into @p timeline: warp spans land on the per-warp
+     * tracks, validation-unit spans on process @p vuPid (one thread
+     * per partition).
+     */
+    void
+    mirrorTo(Timeline *timeline, std::uint32_t vu_pid)
+    {
+        mirror = timeline;
+        vuPid = vu_pid;
+    }
 
     void txAttemptBegin(GlobalWarpId gwid, CoreId core,
                         std::uint32_t slot, unsigned attempt,
-                        unsigned lanes, Cycle now) override;
-    void txPhase(GlobalWarpId gwid, TxPhase phase, Cycle now) override;
+                        unsigned lanes, Cycle now);
+    void txPhase(GlobalWarpId gwid, TxPhase phase, Cycle now);
     void txAccessIssue(GlobalWarpId gwid, Addr granule, bool store,
-                       Cycle now) override;
+                       Cycle now);
     void txAccessDecision(GlobalWarpId gwid, Addr granule,
                           PartitionId partition, bool ok, Cycle arrival,
-                          Cycle ready) override;
+                          Cycle ready);
     void txAccessResponse(GlobalWarpId gwid, Addr granule,
-                          Cycle now) override;
+                          Cycle now);
     void txStallEnter(GlobalWarpId gwid, Addr granule,
-                      PartitionId partition, Cycle now) override;
+                      PartitionId partition, Cycle now);
     void txStallExit(GlobalWarpId gwid, Addr granule,
                      PartitionId partition, Cycle enqueued,
-                     Cycle now) override;
+                     Cycle now);
     void txConflict(GlobalWarpId victim, GlobalWarpId aborter,
                     AbortReason reason, Addr addr, PartitionId partition,
-                    Cycle now) override;
+                    Cycle now);
     void txAbort(GlobalWarpId gwid, AbortReason reason, Addr addr,
-                 unsigned lanes, Cycle now) override;
-    void txCommitHandoff(GlobalWarpId gwid, Cycle now) override;
+                 unsigned lanes, Cycle now);
+    void txCommitHandoff(GlobalWarpId gwid, Cycle now);
     void txValidation(GlobalWarpId gwid, PartitionId partition, bool pass,
-                      Cycle start, Cycle end) override;
+                      Cycle start, Cycle end);
     void txRetire(GlobalWarpId gwid, unsigned committedLanes,
-                  bool willRetry, Cycle now) override;
+                  bool willRetry, Cycle now);
 
     /** NoC hop observed (crossbar send hook; delivery is known at
      *  send time). */
@@ -241,9 +239,10 @@ class TxTracer : public ObsSink
     TxTraceReport report(Cycle endCycle);
 
     /**
-     * Checkpoint hook. The sample rate comes from config and the emit
-     * closures are re-installed by GpuSystem setup; everything else —
-     * including live (open) transactions mid-attempt — round-trips.
+     * Checkpoint hook. The sample rate and the timeline mirror come
+     * from config and are re-installed by GpuSystem setup; everything
+     * else — including live (open) transactions mid-attempt —
+     * round-trips.
      */
     template <class Ar>
     void
@@ -307,7 +306,8 @@ class TxTracer : public ObsSink
     std::unordered_map<GlobalWarpId, LiveTx> open;
     std::vector<TxRecord> closed;
     TxTraceReport::NocAggregate upAgg, downAgg;
-    TxTraceEmit emit;
+    Timeline *mirror = nullptr;
+    std::uint32_t vuPid = 0;
 };
 
 /**

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <bit>
 
-#include "check/sink.hh"
 #include "common/log.hh"
-#include "gpu/timeline.hh"
+#include "obs/tx_events.hh"
 
 namespace getm {
 
@@ -17,7 +16,7 @@ popcount(LaneMask mask)
     return static_cast<unsigned>(std::popcount(mask));
 }
 
-/** Scheduler state -> tracer phase (obs/sink.hh TxPhase). */
+/** Scheduler state -> tracer phase (obs/tx_tracer.hh TxPhase). */
 TxPhase
 phaseOf(WarpState state)
 {
@@ -37,12 +36,13 @@ phaseOf(WarpState state)
 } // namespace
 
 SimtCore::SimtCore(CoreId id, const CoreConfig &config, const AddressMap &map,
-                   BackingStore &store_, SendFn send_up)
+                   BackingStore &store_, SendFn send_up,
+                   const TxEvents &events)
     : coreId(id), cfg(config), addrMap(map), store(store_),
       sendUp(std::move(send_up)),
       l1("core" + std::to_string(id) + ".l1", config.l1Bytes, config.l1Assoc,
          config.lineBytes),
-      randomGen(config.seed + id * 0x1009 + 7),
+      hub(events), randomGen(config.seed + id * 0x1009 + 7),
       statSet("core" + std::to_string(id)),
       stInstructions(statSet.addCounter("instructions")),
       stDivergences(statSet.addCounter("divergences")),
@@ -157,8 +157,8 @@ SimtCore::changeState(Warp &warp, WarpState state)
     warp.state = state;
     setSlotState(warp.slot, state);
     warp.stateSince = currentCycle;
-    if (traceSink && warp.inTx)
-        traceSink->txPhase(warp.gwid, phaseOf(state), currentCycle);
+    if (warp.inTx)
+        hub.phase(warp.gwid, phaseOf(state), currentCycle);
 }
 
 // The bitset walks below copy each word before visiting its bits:
@@ -556,8 +556,7 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
                 if (!bypass) {
                     // Private data: serialize at the core (see DESIGN.md).
                     store.write(addrs[lane], value);
-                    if (checkSink)
-                        checkSink->externalWrite(addrs[lane], value);
+                    hub.externalWrite(addrs[lane], value);
                 }
                 msg.ops.push_back({static_cast<std::uint8_t>(lane),
                                    addrs[lane], value, 0});
@@ -650,13 +649,8 @@ SimtCore::execTxBegin(Warp &warp, LaneMask active)
     warp.pendingValidations = 0;
     warp.pendingAcks = 0;
     stTxBegins.add();
-    if (checkSink)
-        checkSink->attemptBegin(warp.gwid, active, warp.firstTid);
-    if (traceSink)
-        traceSink->txAttemptBegin(warp.gwid, coreId, warp.slot, 0,
-                                  popcount(active), currentCycle);
-    if (timeline)
-        timeline->begin(coreId, warp.slot, "tx", currentCycle);
+    hub.attemptBegin(warp.gwid, coreId, warp.slot, 0, active, warp.firstTid,
+                     currentCycle, currentCycle);
     if (protocol)
         protocol->onTxBegin(warp);
 }
@@ -672,8 +666,7 @@ SimtCore::execTxCommit(Warp &warp)
         return;
     }
     warp.commitPointFired = true;
-    if (traceSink)
-        traceSink->txCommitHandoff(warp.gwid, currentCycle);
+    hub.commitHandoff(warp.gwid, currentCycle);
     protocol->txCommitPoint(warp);
 }
 
@@ -718,31 +711,13 @@ SimtCore::abortTxLanes(Warp &warp, LaneMask lanes, AbortReason reason,
     warp.aborts += aborted;
     stTxAborts.add(aborted);
     stAbortsByReason[static_cast<unsigned>(reason)]->add(aborted);
-    if (checkSink)
-        checkSink->attemptAborted(warp.gwid, lanes);
-    if (sink)
-        sink->abortEvent(reason, addr,
-                         addr == invalidAddr ? 0
-                                             : addrMap.partitionOf(addr),
-                         aborted, currentCycle);
-    if (traceSink)
-        traceSink->txAbort(warp.gwid, reason, addr, aborted, currentCycle);
+    hub.abort(warp.gwid, coreId, warp.slot, reason, addr,
+              addr == invalidAddr ? 0 : addrMap.partitionOf(addr), lanes,
+              currentCycle);
     warp.abortLanesOnStack(lanes);
     for (LaneId lane = 0; lane < warpSize; ++lane)
         if (lanes & (1u << lane))
             warp.iwcd.dropLane(lane);
-    if (timeline) {
-        static const auto labels = [] {
-            std::array<std::string, numAbortReasons> all;
-            for (unsigned r = 0; r < numAbortReasons; ++r)
-                all[r] = std::string("abort:") +
-                         abortReasonName(static_cast<AbortReason>(r));
-            return all;
-        }();
-        timeline->instant(coreId, warp.slot,
-                          labels[static_cast<unsigned>(reason)].c_str(),
-                          currentCycle);
-    }
     checkAllAbortedCommitPoint(warp);
 }
 
@@ -768,8 +743,7 @@ SimtCore::checkAllAbortedCommitPoint(Warp &warp)
     if (warp.outstanding || warp.outstandingTxStores)
         return;
     warp.commitPointFired = true;
-    if (traceSink)
-        traceSink->txCommitHandoff(warp.gwid, currentCycle);
+    hub.commitHandoff(warp.gwid, currentCycle);
     protocol->txCommitPoint(warp);
 }
 
@@ -785,18 +759,11 @@ SimtCore::retireTxAttempt(Warp &warp, LaneMask committed_lanes)
 
     const Pc commit_pc = warp.stack[txi].pc;
     const LaneMask retry_mask = warp.stack[ri].mask;
-    if (traceSink)
-        traceSink->txRetire(warp.gwid, popcount(committed_lanes),
-                            retry_mask != 0, currentCycle);
+    // The redo logs (the commit intent) are still intact here.
+    hub.retire(warp.gwid, coreId, warp.slot, committed_lanes, warp.logs,
+               retry_mask != 0, currentCycle);
     warp.commits += popcount(committed_lanes);
     stTxCommitLanes.add(popcount(committed_lanes));
-    if (checkSink) {
-        // The redo logs (the commit intent) are still intact here.
-        for (LaneId lane = 0; lane < warpSize; ++lane)
-            if (committed_lanes & (1u << lane))
-                checkSink->attemptCommitted(warp.gwid, lane,
-                                            warp.logs[lane].writeLog());
-    }
 
     warp.stack.pop_back(); // Transaction
 
@@ -819,17 +786,15 @@ SimtCore::retireTxAttempt(Warp &warp, LaneMask committed_lanes)
         warp.tcdOkLanes = retry_mask;
         warp.txStartCycle = currentCycle;
         warp.commitPointFired = false;
-        // Retries re-enter the transaction body without re-executing
-        // TxBegin, so the checker learns about the new attempt here.
-        if (checkSink)
-            checkSink->attemptBegin(warp.gwid, retry_mask, warp.firstTid);
-        // Retry attempts begin at the retire cycle, so the tracer's
-        // per-attempt slices telescope exactly over the tx lifetime.
-        if (traceSink)
-            traceSink->txAttemptBegin(warp.gwid, coreId, warp.slot,
-                                      warp.retriesThisTx,
-                                      popcount(retry_mask), currentCycle);
         const Cycle delay = warp.backoff.nextDelay(randomGen);
+        // Retries re-enter the transaction body without re-executing
+        // TxBegin, so the new attempt is announced here. It begins at
+        // the retire cycle, so the tracer's per-attempt slices
+        // telescope exactly over the tx lifetime; its timeline span
+        // opens after the backoff delay.
+        hub.attemptBegin(warp.gwid, coreId, warp.slot, warp.retriesThisTx,
+                         retry_mask, warp.firstTid, currentCycle,
+                         currentCycle + delay);
         // Starvation guard (counted once per streak, at the crossing):
         // a warp this deep into backoff is no longer making progress
         // through ordinary contention. Livelock diagnostics name these
@@ -840,19 +805,12 @@ SimtCore::retireTxAttempt(Warp &warp, LaneMask committed_lanes)
         changeState(warp, WarpState::BackoffWait);
         setWake(warp, currentCycle + delay);
         stTxRetries.add();
-        if (timeline) {
-            timeline->end(coreId, warp.slot, currentCycle);
-            timeline->begin(coreId, warp.slot, "tx-retry",
-                            currentCycle + delay);
-        }
     } else {
         warp.stack.pop_back(); // Retry
         warp.top().pc = commit_pc + 1;
         changeState(warp, WarpState::Ready); // flush tx accounting
         warp.inTx = false;
         warp.backoff.reset();
-        if (timeline)
-            timeline->end(coreId, warp.slot, currentCycle);
         if (txActive == 0)
             panic("tx throttle underflow");
         --txActive;

@@ -26,15 +26,15 @@
 #include "mem/backing_store.hh"
 #include "mem/cache_model.hh"
 #include "mem/mshr.hh"
-#include "obs/sink.hh"
+#include "obs/abort_reason.hh"
 #include "simt/tm_iface.hh"
 #include "simt/warp.hh"
 #include "tm/messages.hh"
 
 namespace getm {
 
-class CheckSink;
 class FaultInjector;
+class TxEvents;
 
 /** Configuration of one SIMT core. */
 struct CoreConfig
@@ -85,8 +85,10 @@ class SimtCore
     using SendFn = std::function<void(MemMsg &&)>;
     using WorkFn = std::function<bool(WarpAssignment &)>;
 
+    /** @p events is the instrument hub (obs/tx_events.hh) the core and
+     *  its protocol engine report into; it must outlive the core. */
     SimtCore(CoreId id, const CoreConfig &config, const AddressMap &map,
-             BackingStore &store, SendFn send_up);
+             BackingStore &store, SendFn send_up, const TxEvents &events);
 
     /** Install the protocol engine (may be null for the lock baseline). */
     void setProtocol(std::unique_ptr<TmCoreProtocol> engine);
@@ -184,34 +186,8 @@ class SimtCore
     /** Aggregate per-warp stats into the core StatSet (call when done). */
     void foldWarpStats();
 
-    /**
-     * Install a transaction-lifecycle recorder (may be null). The core
-     * reports attempt begin/retire spans and abort instants.
-     */
-    void setTimeline(class Timeline *t) { timeline = t; }
-
-    /** Install the observability sink (may be null). */
-    void setObserver(ObsSink *s) { sink = s; }
-
-    /** Observability sink for protocol engines (may be null). */
-    ObsSink *observer() { return sink; }
-
-    /**
-     * Install the transaction tracer (may be null). Deliberately a
-     * second ObsSink pointer rather than a flag on the main sink: the
-     * disabled path costs one untaken null check per lifecycle site,
-     * and the aggregate hub never pays for tx* virtual dispatch.
-     */
-    void setTracer(ObsSink *t) { traceSink = t; }
-
-    /** Transaction tracer for protocol engines (may be null). */
-    ObsSink *tracer() { return traceSink; }
-
-    /** Install the runtime checker sink (may be null). */
-    void setChecker(CheckSink *s) { checkSink = s; }
-
-    /** Runtime checker sink for protocol engines (may be null). */
-    CheckSink *checker() { return checkSink; }
+    /** Instrument hub for protocol engines (obs/tx_events.hh). */
+    const TxEvents &events() const { return hub; }
 
     /** Install the fault injector (may be null). */
     void setFaults(FaultInjector *f) { faultInj = f; }
@@ -252,7 +228,7 @@ class SimtCore
     /**
      * Checkpoint hook: all mutable core state, then the protocol
      * engine's own state through its virtual hooks (the kernel, work
-     * source, and sink pointers are reconstructed by the owner).
+     * source, and instrument hub are reconstructed by the owner).
      */
     template <class Ar>
     void
@@ -353,10 +329,7 @@ class SimtCore
     /** Warps resident and not finished (O(1) done()/activeWarps()). */
     unsigned liveWarps = 0;
     bool txFrozen = false;
-    class Timeline *timeline = nullptr;
-    ObsSink *sink = nullptr;
-    ObsSink *traceSink = nullptr;
-    CheckSink *checkSink = nullptr;
+    const TxEvents &hub;
     FaultInjector *faultInj = nullptr;
     Cycle currentCycle = 0;
     Rng randomGen;

@@ -15,13 +15,15 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/backing_store.hh"
-#include "obs/sink.hh"
 #include "tm/messages.hh"
 
 namespace getm {
 
-class CheckSink;
 class FaultInjector;
+class TxEvents;
+
+/** The all-null hub (obs/tx_events.hh). */
+extern const TxEvents noTxEvents;
 
 namespace ckpt {
 class Writer;
@@ -56,14 +58,9 @@ class PartitionContext
 
     virtual StatSet &stats() = 0;
 
-    /** Observability sink; may be nullptr when reporting is disabled. */
-    virtual ObsSink *obs() { return nullptr; }
-
-    /** Transaction tracer; nullptr unless --trace-tx is enabled. */
-    virtual ObsSink *trace() { return nullptr; }
-
-    /** Runtime checker sink; nullptr unless --check is enabled. */
-    virtual CheckSink *check() { return nullptr; }
+    /** Instrument hub (obs/tx_events.hh); reports into nothing unless
+     *  the owner installs one. */
+    virtual const TxEvents &events() const { return noTxEvents; }
 
     /** Fault injector; nullptr unless --inject is enabled. */
     virtual FaultInjector *faults() { return nullptr; }

@@ -4,9 +4,9 @@
 #include <map>
 
 #include "check/fault.hh"
-#include "check/sink.hh"
 #include "ckpt/serial.hh"
 #include "common/log.hh"
+#include "obs/tx_events.hh"
 
 namespace getm {
 
@@ -47,21 +47,12 @@ WtmCoreTm::instantValidate(const Warp &warp, LaneMask lanes,
                 failed |= 1u << lane;
                 if (conflict_addr && *conflict_addr == invalidAddr)
                     *conflict_addr = core.granuleOf(entry.addr);
-                if (ObsSink *obs = core.observer())
-                    obs->conflictEvent(
-                        AbortReason::EagerValidation,
-                        core.granuleOf(entry.addr),
-                        core.addressMap().partitionOf(entry.addr),
-                        core.now());
                 // The committed writer is long gone by the time value
                 // validation sees the mismatch, so no aborter is known.
-                if (ObsSink *tracer = core.tracer())
-                    tracer->txConflict(
-                        warp.gwid, invalidWarp,
-                        AbortReason::EagerValidation,
-                        core.granuleOf(entry.addr),
-                        core.addressMap().partitionOf(entry.addr),
-                        core.now());
+                core.events().conflict(
+                    warp.gwid, invalidWarp, AbortReason::EagerValidation,
+                    core.granuleOf(entry.addr),
+                    core.addressMap().partitionOf(entry.addr), core.now());
                 break;
             }
         }
@@ -124,8 +115,7 @@ WtmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
             pending &= ~(1u << lane);
         }
         msg.bytes = 8 + 4 * static_cast<unsigned>(msg.ops.size());
-        if (ObsSink *tracer = core.tracer())
-            tracer->txAccessIssue(warp.gwid, granule, /*store=*/false,
+        core.events().accessIssue(warp.gwid, granule, /*store=*/false,
                                   core.now());
         core.sendToPartition(std::move(msg));
         ++warp.outstanding;
@@ -138,8 +128,7 @@ WtmCoreTm::onResponse(Warp &warp, const MemMsg &msg)
 {
     switch (msg.kind) {
       case MsgKind::WtmLoadResp:
-        if (ObsSink *tracer = core.tracer())
-            tracer->txAccessResponse(warp.gwid, msg.addr, core.now());
+        core.events().accessResponse(warp.gwid, msg.addr, core.now());
         for (const LaneOp &op : msg.ops) {
             if (warp.abortedMask & (1u << op.lane))
                 continue;
@@ -343,8 +332,8 @@ WtmCoreTm::startValidation(Warp &warp)
                 if (fi && fi->fire(FaultKind::CorruptCommit))
                     value ^= 1u;
                 core.memory().write(op.addr, value);
-                if (CheckSink *cs = core.checker())
-                    cs->writeApplied(warp.gwid, op.lane, op.addr, value);
+                core.events().writeApplied(warp.gwid, op.lane, op.addr,
+                                           value);
             }
         }
         for (auto &[part, msg] : slices) {

@@ -117,12 +117,9 @@ class WtmCoreTm : public TmCoreProtocol
     void finishCommitPoint(Warp &warp);
 
     /**
-     * Instantly value-validate the read logs of @p lanes; returns the
-     * lanes whose logged values no longer match memory.
-     */
-    /**
-     * Idealized value validation of @p lanes' read logs. Reports each
-     * conflicting address to the observability sink; when
+     * Idealized value validation of @p lanes' read logs; returns the
+     * lanes whose logged values no longer match memory. Reports each
+     * conflicting address as a TxEvents conflict; when
      * @p conflict_addr is non-null it receives the first conflicting
      * address (for abort attribution).
      */

@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "check/fault.hh"
-#include "check/sink.hh"
 #include "ckpt/serial.hh"
 #include "common/log.hh"
+#include "obs/tx_events.hh"
 
 namespace getm {
 
@@ -44,8 +44,7 @@ WtmPartitionUnit::handleRequest(MemMsg &&msg, Cycle now)
         for (const LaneOp &op : msg.ops) {
             const Cycle last = tcd.lookup(op.addr).first;
             const std::uint32_t value = ctx.memory().read(op.addr);
-            if (CheckSink *cs = ctx.check())
-                cs->readObserved(msg.wid, op.lane, op.addr, value);
+            ctx.events().readObserved(msg.wid, op.lane, op.addr, value);
             resp.ops.push_back({op.lane, op.addr, value,
                                 static_cast<std::uint32_t>(std::min<Cycle>(
                                     last, 0xffffffffu))});
@@ -53,10 +52,8 @@ WtmPartitionUnit::handleRequest(MemMsg &&msg, Cycle now)
         }
         resp.bytes = 8 + 8 * static_cast<unsigned>(resp.ops.size());
         const Cycle ready = now + 1 + ctx.llcLatency() + extra;
-        if (ObsSink *tracer = ctx.trace())
-            tracer->txAccessDecision(msg.wid, msg.addr,
-                                     ctx.partitionId(), /*ok=*/true, now,
-                                     ready);
+        ctx.events().accessDecision(msg.wid, msg.addr, ctx.partitionId(),
+                                    /*ok=*/true, now, ready);
         ctx.scheduleToCore(std::move(resp), ready);
         return 1;
       }
@@ -196,15 +193,11 @@ WtmPartitionUnit::validateSlice(MemMsg &&slice, Cycle now)
             if (fi && fi->fire(FaultKind::CommitStaleRead))
                 continue; // injected: pretend the stale read validated
             failed |= 1u << op.lane;
-            if (ObsSink *sink = ctx.obs())
-                sink->conflictEvent(AbortReason::Validation, op.addr,
-                                    ctx.partitionId(), now);
             // Lazy validation compares values, so the writer that made
             // the read stale already committed anonymously.
-            if (ObsSink *tracer = ctx.trace())
-                tracer->txConflict(slice.wid, invalidWarp,
-                                   AbortReason::Validation, op.addr,
-                                   ctx.partitionId(), now);
+            ctx.events().conflict(slice.wid, invalidWarp,
+                                  AbortReason::Validation, op.addr,
+                                  ctx.partitionId(), now);
         }
     }
     for (LaneId lane = 0; lane < warpSize; ++lane)
@@ -216,9 +209,8 @@ WtmPartitionUnit::validateSlice(MemMsg &&slice, Cycle now)
     stValidations.add();
     if (failed)
         stValidationFails.add();
-    if (ObsSink *tracer = ctx.trace())
-        tracer->txValidation(slice.wid, ctx.partitionId(), failed == 0,
-                             start, start + busy);
+    ctx.events().validation(slice.wid, ctx.partitionId(), failed == 0,
+                            start, start + busy);
 
     if (has_writes)
         onValidationStart(slice, start);
@@ -253,8 +245,7 @@ WtmPartitionUnit::applyDecision(const MemMsg &decision, Cycle now)
             if (fi && fi->fire(FaultKind::CorruptCommit))
                 value ^= 1u;
             ctx.memory().write(op.addr, value);
-            if (CheckSink *cs = ctx.check())
-                cs->writeApplied(slice.wid, op.lane, op.addr, value);
+            ctx.events().writeApplied(slice.wid, op.lane, op.addr, value);
         }
         tcd.insert(op.addr, start, 0);
         ctx.accessLlc(op.addr, true, now);

@@ -22,7 +22,7 @@ struct Rig
     Crossbar<MemMsg> down{"down", 1, 1, CrossbarTiming::Config{}};
     MemPartition part;
 
-    Rig() : part(0, cfg, map, store, up, down, 1)
+    Rig() : part(0, cfg, map, store, up, down, 1, noTxEvents)
     {
     }
 

@@ -9,7 +9,7 @@
 #include <fstream>
 
 #include "gpu/gpu_system.hh"
-#include "gpu/timeline.hh"
+#include "obs/timeline.hh"
 #include "isa/kernel_builder.hh"
 
 namespace getm {

@@ -3,15 +3,16 @@
  * TxTracer unit tests on hand-built event streams, plus an end-to-end
  * traced run.
  *
- * The unit tests drive the tracer through its ObsSink interface with
- * synthetic lifecycles and check the properties the exporter and the
+ * The unit tests call the tracer's tx* methods directly, as the
+ * TxEvents hub (obs/tx_events.hh) does in a run, with synthetic
+ * lifecycles and check the properties the exporter and the
  * Python tooling lean on: exact telescoping cycle accounting (the
  * categories sum to the lifetime, per transaction, always), the
  * stall-dwell overlay, committed-vs-aborted attempt folding, abort
  * genealogy merging, and the sampling arithmetic. The end-to-end test
  * traces a real workload and checks the same invariants over real
  * transactions (timing neutrality itself is covered by the
- * TracerInvisible tests in test_scheduler_equivalence.cc).
+ * InstrumentsInvisible tests in test_scheduler_equivalence.cc).
  */
 
 #include <gtest/gtest.h>

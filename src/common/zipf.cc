@@ -109,4 +109,19 @@ ScrambledZipfian::rankOf(std::uint64_t key) const
     return v;
 }
 
+std::uint64_t
+ScrambledZipfian::hottestIn(std::uint64_t first, std::uint64_t last) const
+{
+    std::uint64_t best = first;
+    std::uint64_t bestRank = rankOf(first);
+    for (std::uint64_t key = first + 1; key <= last; ++key) {
+        const std::uint64_t rank = rankOf(key);
+        if (rank < bestRank) {
+            best = key;
+            bestRank = rank;
+        }
+    }
+    return best;
+}
+
 } // namespace getm

@@ -84,6 +84,9 @@ class ScrambledZipfian
     /** Inverse of scramble(): the popularity rank of @p key. */
     std::uint64_t rankOf(std::uint64_t key) const;
 
+    /** The key in [@p first, @p last] with the lowest rank. */
+    std::uint64_t hottestIn(std::uint64_t first, std::uint64_t last) const;
+
     const ZipfianGenerator &ranks() const { return zipf; }
 
   private:

@@ -98,7 +98,7 @@ struct GpuConfig
      * Per-transaction lifecycle tracing: trace every Nth transaction
      * (0 = off, 1 = all). Strictly observe-only — the tracer adds no
      * wake sources and no messages, so enabling it cannot change a
-     * single simulated cycle (the TracerInvisible tests enforce this).
+     * single simulated cycle (the InstrumentsInvisible tests enforce this).
      * Like checkLevel, never part of config provenance.
      */
     std::uint64_t traceTx = 0;

@@ -187,19 +187,23 @@ BankWorkload::verify(GpuSystem &gpu, std::string &why) const
 }
 
 bool
-BankWorkload::addrInfo(Addr addr, std::string &label) const
+BankWorkload::addrInfo(Addr granule, unsigned granule_bytes,
+                       std::string &label) const
 {
-    if (addr >= branchesBase &&
-        addr < branchesBase + 4 * params.branches) {
-        label = "branch " + std::to_string((addr - branchesBase) / 4);
+    std::uint64_t first, last;
+    if (recordsInGranule(granule, granule_bytes, branchesBase,
+                         params.branches, 4, first, last)) {
+        label = "branch " + std::to_string(first);
         return true;
     }
-    if (addr >= tellersBase && addr < tellersBase + 4 * params.tellers) {
-        label = "teller " + std::to_string((addr - tellersBase) / 4);
+    if (recordsInGranule(granule, granule_bytes, tellersBase,
+                         params.tellers, 4, first, last)) {
+        label = "teller " + std::to_string(first);
         return true;
     }
-    if (addr >= accountsBase && addr < accountsBase + 4 * accounts) {
-        const std::uint64_t account = (addr - accountsBase) / 4;
+    if (recordsInGranule(granule, granule_bytes, accountsBase, accounts, 4,
+                         first, last)) {
+        const std::uint64_t account = zipf.hottestIn(first, last);
         label = "account " + std::to_string(account) + " (zipf rank " +
                 std::to_string(zipf.rankOf(account)) + ")";
         return true;

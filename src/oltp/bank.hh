@@ -52,7 +52,8 @@ class BankWorkload : public Workload
     void setup(GpuSystem &gpu, bool lock_variant) override;
     std::uint64_t numThreads() const override { return threads; }
     bool verify(GpuSystem &gpu, std::string &why) const override;
-    bool addrInfo(Addr addr, std::string &label) const override;
+    bool addrInfo(Addr granule, unsigned granule_bytes,
+                  std::string &label) const override;
 
     std::uint64_t numAccounts() const { return accounts; }
     /** The account holding zipfian popularity rank @p rank. */

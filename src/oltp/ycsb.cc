@@ -197,11 +197,14 @@ YcsbWorkload::verify(GpuSystem &gpu, std::string &why) const
 }
 
 bool
-YcsbWorkload::addrInfo(Addr addr, std::string &label) const
+YcsbWorkload::addrInfo(Addr granule, unsigned granule_bytes,
+                       std::string &label) const
 {
-    if (addr < recordsBase || addr >= recordsBase + 8 * keys)
+    std::uint64_t first, last;
+    if (!recordsInGranule(granule, granule_bytes, recordsBase, keys, 8,
+                          first, last))
         return false;
-    const std::uint64_t key = (addr - recordsBase) / 8;
+    const std::uint64_t key = zipf.hottestIn(first, last);
     label = "key " + std::to_string(key) + " (zipf rank " +
             std::to_string(zipf.rankOf(key)) + ")";
     return true;

@@ -62,7 +62,7 @@ writeFile(const std::string &path, const std::string &content,
  * Simulate one point end to end and render its metrics document.
  * With @p trace_tx nonzero the run is traced and @p trace_doc receives
  * the standalone trace document; the returned metrics document stays
- * byte-identical to an untraced run (the TracerInvisible guarantee is
+ * byte-identical to an untraced run (the InstrumentsInvisible guarantee is
  * what makes enabling tracing on an existing sweep safe).
  */
 /** Per-point durability wiring, resolved by the retry loop. */
@@ -101,7 +101,7 @@ simulatePoint(const SweepPoint &point, std::uint64_t trace_tx,
     // accounts). Workloads without a mapping leave rows untouched, so
     // their documents keep their exact pre-label bytes.
     for (HotAddrRow &row : result.obs.hotAddrs)
-        workload->addrInfo(row.addr, row.label);
+        workload->addrInfo(row.addr, run_cfg.getmGranule, row.label);
 
     std::string why;
     verified = workload->verify(gpu, why);

@@ -16,6 +16,7 @@
 #ifndef GETM_WORKLOADS_WORKLOAD_HH
 #define GETM_WORKLOADS_WORKLOAD_HH
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,14 +86,17 @@ class Workload
     virtual bool verify(GpuSystem &gpu, std::string &why) const = 0;
 
     /**
-     * Describe @p addr for the conflict profiler's hot-address report
-     * ("account 17 (zipf rank 0)", ...). @return false when the
-     * workload has nothing to say about the address (the default).
+     * Describe the @p granule_bytes-byte metadata granule at @p granule
+     * for the conflict profiler's hot-address report ("account 17
+     * (zipf rank 0)", ...). A granule can hold several records; a
+     * zipfian workload names the most popular one. @return false when
+     * the workload has nothing to say about the granule (the default).
      */
     virtual bool
-    addrInfo(Addr addr, std::string &label) const
+    addrInfo(Addr granule, unsigned granule_bytes, std::string &label) const
     {
-        (void)addr;
+        (void)granule;
+        (void)granule_bytes;
         (void)label;
         return false;
     }
@@ -100,6 +104,25 @@ class Workload
   protected:
     Kernel builtKernel;
 };
+
+/**
+ * The records of a @p count-record array at @p base, @p stride bytes
+ * each, that overlap the @p bytes-byte granule at @p granule: indices
+ * [@p first, @p last]. @return false when none do.
+ */
+inline bool
+recordsInGranule(Addr granule, unsigned bytes, Addr base,
+                 std::uint64_t count, unsigned stride, std::uint64_t &first,
+                 std::uint64_t &last)
+{
+    const Addr lo = std::max(granule, base);
+    const Addr hi = std::min(granule + bytes, base + count * stride);
+    if (lo >= hi)
+        return false;
+    first = (lo - base) / stride;
+    last = (hi - 1 - base) / stride;
+    return true;
+}
 
 /**
  * Scale a base element count, clamping to @p min so fractional scales

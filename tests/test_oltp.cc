@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/zipf.hh"
@@ -320,15 +322,34 @@ TEST(OltpHotAddrs, ProfilerRowsGetWorkloadLabels)
     const RunResult result =
         gpu.run(workload->kernel(), workload->numThreads(), 80'000'000);
 
+    // The zipf rank a label names, or ~0 when it names none.
+    const auto rankIn = [](const std::string &label) -> std::uint64_t {
+        const auto at = label.find("zipf rank ");
+        return at == std::string::npos
+                   ? ~std::uint64_t{0}
+                   : std::stoull(label.substr(at + 10));
+    };
+
     ASSERT_FALSE(result.obs.hotAddrs.empty());
     unsigned labeled = 0;
+    const unsigned granule = cfg.getmGranule;
     for (HotAddrRow row : result.obs.hotAddrs) {
-        if (workload->addrInfo(row.addr, row.label)) {
+        if (workload->addrInfo(row.addr, granule, row.label)) {
             ++labeled;
             EXPECT_NE(row.label.find("key"), std::string::npos)
                 << row.label;
             EXPECT_NE(row.label.find("zipf rank"), std::string::npos)
                 << row.label;
+            // A granule holds several 8-byte records: the label names
+            // the most popular of them.
+            std::uint64_t hottest = ~std::uint64_t{0};
+            for (Addr record = row.addr; record < row.addr + granule;
+                 record += 8) {
+                std::string one;
+                if (workload->addrInfo(record, 8, one))
+                    hottest = std::min(hottest, rankIn(one));
+            }
+            EXPECT_EQ(rankIn(row.label), hottest) << row.label;
         }
     }
     EXPECT_GT(labeled, 0u);
@@ -353,7 +374,7 @@ TEST(OltpHotAddrs, BankLabelsNameAccountsTellersBranches)
     unsigned labeled = 0;
     bool sawHotRecord = false;
     for (HotAddrRow row : result.obs.hotAddrs) {
-        if (!workload->addrInfo(row.addr, row.label))
+        if (!workload->addrInfo(row.addr, cfg.getmGranule, row.label))
             continue;
         ++labeled;
         const bool known =

@@ -10,10 +10,18 @@
  * cycle count, commits, aborts, crossbar traffic, and the full merged
  * stats dump -- to be bit-identical. Any divergence means a component
  * mutated state on a cycle the event loop skipped.
+ *
+ * The InstrumentsInvisible tests apply the same comparison to the
+ * instruments instead of the loop flavour: one run per TM protocol
+ * with the checker, tracer, sampler and timeline all on against one
+ * with all of them off.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "gpu/gpu_system.hh"
@@ -28,16 +36,32 @@ struct Outcome
     std::string statsDump;
 };
 
+/** Where an instrumented run of @p protocol writes its timeline. */
+std::string
+timelinePathFor(ProtocolKind protocol)
+{
+    return testing::TempDir() + "instruments_" + protocolName(protocol) +
+           ".json";
+}
+
+/**
+ * @p instruments turns on every instrument: the checker (serial), the
+ * tracer at sample rate 1, the cycle sampler and the timeline.
+ */
 Outcome
 runWith(BenchId bench, ProtocolKind protocol, bool legacy,
-        unsigned check_level = 0, std::uint64_t trace_tx = 0,
+        bool instruments = false,
         LogicalTs rollover_threshold = ~static_cast<LogicalTs>(0))
 {
     GpuConfig cfg = GpuConfig::testRig();
     cfg.protocol = protocol;
     cfg.legacyLoop = legacy;
-    cfg.checkLevel = check_level;
-    cfg.traceTx = trace_tx;
+    if (instruments) {
+        cfg.checkLevel = 2;
+        cfg.traceTx = 1;
+        cfg.sampleInterval = 512;
+        cfg.timelinePath = timelinePathFor(protocol);
+    }
     cfg.rolloverThreshold = rollover_threshold;
     GpuSystem gpu(cfg);
     auto workload = makeWorkload(bench, 0.01, 123);
@@ -58,9 +82,9 @@ expectIdentical(BenchId bench, ProtocolKind protocol,
                 LogicalTs rollover_threshold = ~static_cast<LogicalTs>(0))
 {
     const Outcome legacy =
-        runWith(bench, protocol, true, 0, 0, rollover_threshold);
+        runWith(bench, protocol, true, false, rollover_threshold);
     const Outcome event =
-        runWith(bench, protocol, false, 0, 0, rollover_threshold);
+        runWith(bench, protocol, false, false, rollover_threshold);
     const char *name = protocolName(protocol);
 
     EXPECT_EQ(event.run.cycles, legacy.run.cycles) << name;
@@ -76,16 +100,18 @@ expectIdentical(BenchId bench, ProtocolKind protocol,
 }
 
 /**
- * The runtime checker (src/check) must be a pure observer: enabling it
- * may not perturb a single simulated cycle or statistic. Same
- * comparison set as the scheduler equivalence above, but toggling
- * GpuConfig::checkLevel instead of the loop flavour.
+ * Every instrument the TxEvents hub feeds -- the runtime checker, the
+ * transaction tracer, the timeline -- and the cycle sampler must be a
+ * pure observer: turning them all on may not perturb a single
+ * simulated cycle or statistic, while each still records the run.
  */
 void
-expectCheckerInvisible(BenchId bench, ProtocolKind protocol)
+expectInstrumentsInvisible(BenchId bench, ProtocolKind protocol)
 {
-    const Outcome off = runWith(bench, protocol, false, 0);
-    const Outcome on = runWith(bench, protocol, false, 2);
+    const std::string timeline = timelinePathFor(protocol);
+    std::remove(timeline.c_str());
+    const Outcome off = runWith(bench, protocol, false);
+    const Outcome on = runWith(bench, protocol, false, true);
     const char *name = protocolName(protocol);
 
     EXPECT_EQ(on.run.cycles, off.run.cycles) << name;
@@ -95,43 +121,32 @@ expectCheckerInvisible(BenchId bench, ProtocolKind protocol)
     EXPECT_EQ(on.run.txExecCycles, off.run.txExecCycles) << name;
     EXPECT_EQ(on.run.txWaitCycles, off.run.txWaitCycles) << name;
     EXPECT_EQ(on.statsDump, off.statsDump) << name;
+
+    // Checker: a clean run over real commits.
     EXPECT_EQ(on.run.check.totalViolations, 0u)
         << name << ": " << on.run.check.summary();
     EXPECT_GT(on.run.check.txCommits, 0u) << name;
-}
 
-/**
- * The transaction tracer (src/obs/tx_tracer) must likewise be a pure
- * observer: it is reached through a dedicated trace pointer that stays
- * null when --trace-tx is off, and when on it only consumes events.
- * Enabling it at sample rate 1 may not perturb a single simulated
- * cycle or statistic, while still tracing real transactions.
- */
-void
-expectTracerInvisible(BenchId bench, ProtocolKind protocol)
-{
-    const Outcome off = runWith(bench, protocol, false, 0, 0);
-    const Outcome on = runWith(bench, protocol, false, 0, 1);
-    const char *name = protocolName(protocol);
-
-    EXPECT_EQ(on.run.cycles, off.run.cycles) << name;
-    EXPECT_EQ(on.run.commits, off.run.commits) << name;
-    EXPECT_EQ(on.run.aborts, off.run.aborts) << name;
-    EXPECT_EQ(on.run.xbarFlits, off.run.xbarFlits) << name;
-    EXPECT_EQ(on.run.txExecCycles, off.run.txExecCycles) << name;
-    EXPECT_EQ(on.run.txWaitCycles, off.run.txWaitCycles) << name;
-    EXPECT_EQ(on.statsDump, off.statsDump) << name;
-
+    // Tracer: real transactions traced, with exact cycle accounting.
     const TxTraceReport &trace = on.run.obs.txTrace;
     EXPECT_TRUE(trace.enabled) << name;
     EXPECT_FALSE(off.run.obs.txTrace.enabled) << name;
     EXPECT_GT(trace.traced, 0u) << name;
     EXPECT_GT(trace.committedCount, 0u) << name;
     EXPECT_EQ(trace.openAtEnd, 0u) << name;
-    // The defining invariant: exact cycle accounting, per transaction.
     for (const TxRecord &rec : trace.transactions)
         EXPECT_EQ(rec.cycles.total(), rec.lifetime())
             << name << ": tx " << rec.traceId;
+
+    // Sampler and timeline: both recorded the instrumented run.
+    EXPECT_GT(on.run.obs.samples.numSamples(), 0u) << name;
+    EXPECT_EQ(off.run.obs.samples.numSamples(), 0u) << name;
+    std::ifstream file(timeline);
+    const std::string doc((std::istreambuf_iterator<char>(file)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_NE(doc.find("\"name\":\"tx\""), std::string::npos) << name;
+    EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos) << name;
+    std::remove(timeline.c_str());
 }
 
 TEST(SchedulerEquivalence, FgLock)
@@ -176,44 +191,24 @@ TEST(SchedulerEquivalence, Eapg)
     expectIdentical(BenchId::Atm, ProtocolKind::Eapg);
 }
 
-TEST(SchedulerEquivalence, CheckerInvisibleGetm)
+TEST(SchedulerEquivalence, InstrumentsInvisibleGetm)
 {
-    expectCheckerInvisible(BenchId::HtH, ProtocolKind::Getm);
+    expectInstrumentsInvisible(BenchId::HtH, ProtocolKind::Getm);
 }
 
-TEST(SchedulerEquivalence, CheckerInvisibleWarpTmLL)
+TEST(SchedulerEquivalence, InstrumentsInvisibleWarpTmLL)
 {
-    expectCheckerInvisible(BenchId::Atm, ProtocolKind::WarpTmLL);
+    expectInstrumentsInvisible(BenchId::Atm, ProtocolKind::WarpTmLL);
 }
 
-TEST(SchedulerEquivalence, CheckerInvisibleWarpTmEL)
+TEST(SchedulerEquivalence, InstrumentsInvisibleWarpTmEL)
 {
-    expectCheckerInvisible(BenchId::HtH, ProtocolKind::WarpTmEL);
+    expectInstrumentsInvisible(BenchId::HtH, ProtocolKind::WarpTmEL);
 }
 
-TEST(SchedulerEquivalence, CheckerInvisibleEapg)
+TEST(SchedulerEquivalence, InstrumentsInvisibleEapg)
 {
-    expectCheckerInvisible(BenchId::Atm, ProtocolKind::Eapg);
-}
-
-TEST(SchedulerEquivalence, TracerInvisibleGetm)
-{
-    expectTracerInvisible(BenchId::HtH, ProtocolKind::Getm);
-}
-
-TEST(SchedulerEquivalence, TracerInvisibleWarpTmLL)
-{
-    expectTracerInvisible(BenchId::Atm, ProtocolKind::WarpTmLL);
-}
-
-TEST(SchedulerEquivalence, TracerInvisibleWarpTmEL)
-{
-    expectTracerInvisible(BenchId::HtH, ProtocolKind::WarpTmEL);
-}
-
-TEST(SchedulerEquivalence, TracerInvisibleEapg)
-{
-    expectTracerInvisible(BenchId::Atm, ProtocolKind::Eapg);
+    expectInstrumentsInvisible(BenchId::Atm, ProtocolKind::Eapg);
 }
 
 } // namespace

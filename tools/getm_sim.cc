@@ -369,7 +369,8 @@ runSimulation(const WorkloadSpec &bench, ProtocolKind protocol,
     // hot accounts); paper workloads leave every label empty.
     bool have_labels = false;
     for (HotAddrRow &row : result.obs.hotAddrs)
-        have_labels |= workload->addrInfo(row.addr, row.label);
+        have_labels |=
+            workload->addrInfo(row.addr, cfg.getmGranule, row.label);
 
     Checker *checker = gpu.checkerPtr();
     if (checker && checker->level() >= CheckLevel::Ref) {

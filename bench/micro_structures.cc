@@ -2,8 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the GETM hardware structures:
  * metadata-table lookups/inserts under varying lock pressure, recency
- * Bloom filter operations, stall-buffer operations, H3 hashing, and the
- * intra-warp conflict-detection table (per access and at commit). These
+ * Bloom filter operations, stall-buffer operations, H3 hashing, the
+ * intra-warp conflict-detection table (per access and at commit), and
+ * the message path: crossbar send+pop and the partition's outbound
+ * queue, with op lists drawn from the op-buffer pool. These
  * measure the *simulator's* throughput (host nanoseconds), complementing
  * the modelled-cycle numbers of fig13_cuckoo_latency.
  */
@@ -16,6 +18,8 @@
 #include "common/rng.hh"
 #include "core/metadata_table.hh"
 #include "core/stall_buffer.hh"
+#include "gpu/mem_partition.hh"
+#include "noc/crossbar.hh"
 #include "tm/intra_warp_cd.hh"
 
 namespace {
@@ -139,6 +143,66 @@ BM_IntraWarpCdResolveAtCommit(benchmark::State &state)
             logs.data(), warpSize, fullMask));
 }
 BENCHMARK(BM_IntraWarpCdResolveAtCommit)->Arg(2)->Arg(8)->Arg(32);
+
+/** A request of @p lanes ops, built the way the cores build them. */
+MemMsg
+laneMessage(std::uint64_t n, unsigned lanes)
+{
+    MemMsg msg;
+    msg.ts = n;
+    msg.ops.reserve(lanes);
+    for (unsigned lane = 0; lane < lanes; ++lane)
+        msg.ops.push_back({static_cast<std::uint8_t>(lane),
+                           4 * (n + lane), 0, 0});
+    msg.bytes = 8 + 12 * lanes;
+    return msg;
+}
+
+void
+BM_CrossbarSendPop(benchmark::State &state)
+{
+    // GTX 480 shape (15 cores, 6 partitions): one send per iteration.
+    // A round of 15 sends spans enough cycles for the ports to carry
+    // its flits, and every arrived message is popped (its op list
+    // recycled) after each round, so the inboxes stay bounded.
+    const auto lanes = static_cast<unsigned>(state.range(0));
+    const CrossbarTiming::Config cfg;
+    const unsigned bytes = 8 + 12 * lanes;
+    const Cycle round = 3 * ((bytes + cfg.flitBytes - 1) / cfg.flitBytes);
+    Crossbar<MemMsg> xbar("bm", 15, 6, cfg);
+    std::uint64_t n = 0;
+    Cycle now = 0;
+    for (auto _ : state) {
+        xbar.send(n % 15, n % 6, bytes, now, laneMessage(n, lanes));
+        if (++n % 15 == 0) {
+            now += round;
+            for (unsigned dst = 0; dst < 6; ++dst)
+                while (xbar.hasReady(dst, now))
+                    benchmark::DoNotOptimize(xbar.popReady(dst));
+        }
+    }
+}
+BENCHMARK(BM_CrossbarSendPop)->Arg(1)->Arg(8)->Arg(32);
+
+void
+BM_PartitionOutbound(benchmark::State &state)
+{
+    // Steady state of state.range(0) queued responses with ready cycles
+    // up to 200 cycles out, non-monotonic as LLC hits and DRAM misses
+    // interleave: one push and one pop per iteration.
+    const auto depth = static_cast<std::uint64_t>(state.range(0));
+    OutboundQueue queue;
+    Rng rng(5);
+    std::uint64_t n = 0;
+    for (; n < depth; ++n)
+        queue.push(laneMessage(n, 8), rng.below(200));
+    for (auto _ : state) {
+        const Cycle now = queue.nextWhen();
+        benchmark::DoNotOptimize(queue.pop());
+        queue.push(laneMessage(n++, 8), now + rng.below(200));
+    }
+}
+BENCHMARK(BM_PartitionOutbound)->Arg(8)->Arg(64);
 
 } // namespace
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 
 #include "common/debug.hh"
 #include "common/log.hh"
@@ -77,23 +76,26 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
     while (pending) {
         const LaneId lead = static_cast<LaneId>(std::countr_zero(pending));
         const Addr granule = core.granuleOf(addrs[lead]);
+        LaneMask group = 0;
+        for (LaneId lane = lead; lane < warpSize; ++lane)
+            if ((pending & (1u << lane)) &&
+                core.granuleOf(addrs[lane]) == granule)
+                group |= 1u << lane;
+        pending &= ~group;
         MemMsg msg;
         msg.kind = is_store ? MsgKind::GetmTxStore : MsgKind::GetmTxLoad;
         msg.addr = granule;
         msg.wid = warp.gwid;
         msg.warpSlot = warp.slot;
         msg.ts = warp.warpts;
-        for (LaneId lane = lead; lane < warpSize; ++lane) {
-            if (!(pending & (1u << lane)) ||
-                core.granuleOf(addrs[lane]) != granule)
-                continue;
+        msg.ops.reserve(std::popcount(group));
+        for (LaneMask rest = group; rest; rest &= rest - 1) {
+            const auto lane =
+                static_cast<std::uint8_t>(std::countr_zero(rest));
             if (is_store)
-                msg.ops.push_back({static_cast<std::uint8_t>(lane), granule,
-                                   0, 1});
+                msg.ops.push_back({lane, granule, 0, 1});
             else
-                msg.ops.push_back({static_cast<std::uint8_t>(lane),
-                                   addrs[lane], 0, 0});
-            pending &= ~(1u << lane);
+                msg.ops.push_back({lane, addrs[lane], 0, 0});
         }
         msg.bytes = 12; // address + warpts + warp id
         core.events().accessIssue(warp.gwid, granule, is_store,
@@ -168,53 +170,50 @@ GetmCoreTm::txCommitPoint(Warp &warp)
            committers, warp.abortedMask);
 
     // Serialize the write log (committing lanes) and the cleanup log
-    // (aborted lanes' granted reservations), grouped per partition.
-    std::map<PartitionId, MemMsg> commit_msgs;
-    std::map<PartitionId, MemMsg> abort_msgs;
-
-    for (LaneId lane = 0; lane < warpSize; ++lane) {
-        const LaneMask bit = 1u << lane;
-        if (committers & bit) {
-            for (const LogEntry &entry : warp.logs[lane].writeLog()) {
-                const PartitionId part =
-                    core.addressMap().partitionOf(entry.addr);
-                MemMsg &msg = commit_msgs[part];
-                msg.ops.push_back({static_cast<std::uint8_t>(lane),
-                                   entry.addr, entry.value, entry.count});
+    // (aborted lanes' granted reservations) into one chunk per
+    // partition: every commit chunk in partition order, then every
+    // cleanup chunk.
+    const AddressMap &addr_map = core.addressMap();
+    const unsigned parts = addr_map.numPartitions();
+    for (const bool commit : {true, false}) {
+        chunks.build(parts, [&](auto &&emit) {
+            for (LaneId lane = 0; lane < warpSize; ++lane) {
+                const LaneMask bit = 1u << lane;
+                const auto op_lane = static_cast<std::uint8_t>(lane);
+                if (commit) {
+                    if (!(committers & bit))
+                        continue;
+                    for (const LogEntry &entry : warp.logs[lane].writeLog())
+                        emit(addr_map.partitionOf(entry.addr),
+                             LaneOp{op_lane, entry.addr, entry.value,
+                                    entry.count});
+                } else if (!(committers & bit) &&
+                           (warp.abortedMask & bit)) {
+                    for (const auto &[granule, count] :
+                         warp.granted.forLane(lane))
+                        emit(addr_map.partitionOf(granule),
+                             LaneOp{op_lane, granule, 0, count});
+                }
             }
-        } else if (warp.abortedMask & bit) {
-            for (const auto &[granule, count] : warp.granted.forLane(lane)) {
-                const PartitionId part =
-                    core.addressMap().partitionOf(granule);
-                MemMsg &msg = abort_msgs[part];
-                msg.ops.push_back({static_cast<std::uint8_t>(lane), granule,
-                                   0, count});
-            }
-        }
-    }
-
-    auto finalize = [&](std::map<PartitionId, MemMsg> &msgs, bool commit) {
-        for (auto &[part, msg] : msgs) {
+        });
+        for (PartitionId part = 0; part < parts; ++part) {
+            if (!chunks.has(part))
+                continue;
+            MemMsg &msg = chunks[part];
             msg.kind = MsgKind::GetmCommit;
             msg.wid = warp.gwid;
             msg.warpSlot = warp.slot;
             msg.flag = commit;
-            msg.addr = 0;
             // Commit entries carry <addr, data, count>; abort entries
             // carry <addr, count> only (paper Sec. IV-A).
             msg.bytes = 8 + static_cast<unsigned>(msg.ops.size()) *
                                 (commit ? 12 : 8);
-            msg.partition = part;
-            msg.core = core.id();
-            // Route explicitly: addr field is not meaningful here.
-            MemMsg out = std::move(msg);
-            out.addr = out.ops.front().addr;
-            core.sendToPartition(std::move(out));
+            // Routed by its first entry's address.
+            msg.addr = msg.ops.front().addr;
+            core.sendToPartition(std::move(msg));
             (commit ? stCommitMsgs : stCleanupMsgs).add();
         }
-    };
-    finalize(commit_msgs, true);
-    finalize(abort_msgs, false);
+    }
 
     // Eager conflict detection guarantees success: the commit is off the
     // critical path and the warp retires (or retries aborted lanes) now.

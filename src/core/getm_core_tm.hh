@@ -51,6 +51,9 @@ class GetmCoreTm : public TmCoreProtocol
   private:
     SimtCore &core;
 
+    /** txCommitPoint's per-partition commit/cleanup chunks. */
+    LogChunks chunks;
+
     // Hot-path stat handles: one add per transactional access/commit.
     StatSet::Counter &stIntraWarpAborts;
     StatSet::Counter &stStoreReqs;

@@ -45,7 +45,7 @@ GetmPartitionUnit::handleRequest(MemMsg &&msg, Cycle now)
 }
 
 void
-GetmPartitionUnit::respondLoad(const MemMsg &msg, Cycle ready, Cycle now)
+GetmPartitionUnit::respondLoad(MemMsg &msg, Cycle ready, Cycle now)
 {
     MemMsg resp;
     resp.kind = MsgKind::GetmLoadResp;
@@ -56,11 +56,11 @@ GetmPartitionUnit::respondLoad(const MemMsg &msg, Cycle ready, Cycle now)
     resp.addr = msg.addr;
     resp.outcome = GetmOutcome::Success;
     Cycle extra = 0;
-    for (const LaneOp &op : msg.ops) {
+    resp.ops = std::move(msg.ops);
+    for (LaneOp &op : resp.ops) {
         // Data is bound at the serialization point (now), not delivery.
-        const std::uint32_t value = ctx.memory().read(op.addr);
-        ctx.events().readObserved(msg.wid, op.lane, op.addr, value);
-        resp.ops.push_back({op.lane, op.addr, value, 0});
+        op.value = ctx.memory().read(op.addr);
+        ctx.events().readObserved(msg.wid, op.lane, op.addr, op.value);
         extra = std::max(
             extra, ctx.accessLlc(op.addr, /*is_write=*/false, now));
     }
@@ -69,7 +69,7 @@ GetmPartitionUnit::respondLoad(const MemMsg &msg, Cycle ready, Cycle now)
 }
 
 void
-GetmPartitionUnit::respondStoreAck(const MemMsg &msg, Cycle ready)
+GetmPartitionUnit::respondStoreAck(MemMsg &msg, Cycle ready)
 {
     MemMsg resp;
     resp.kind = MsgKind::GetmStoreResp;
@@ -79,13 +79,14 @@ GetmPartitionUnit::respondStoreAck(const MemMsg &msg, Cycle ready)
     resp.warpSlot = msg.warpSlot;
     resp.addr = msg.addr;
     resp.outcome = GetmOutcome::Success;
-    resp.ops = msg.ops; // echoes (lane, granule, -, count) for bookkeeping
+    // Echoes (lane, granule, -, count) for bookkeeping.
+    resp.ops = std::move(msg.ops);
     resp.bytes = 8;
     ctx.scheduleToCore(std::move(resp), ready);
 }
 
 void
-GetmPartitionUnit::respondAbort(const MemMsg &msg, LogicalTs observed,
+GetmPartitionUnit::respondAbort(MemMsg &msg, LogicalTs observed,
                                 Cycle ready, AbortReason reason,
                                 Cycle now)
 {
@@ -100,7 +101,7 @@ GetmPartitionUnit::respondAbort(const MemMsg &msg, LogicalTs observed,
     resp.outcome = GetmOutcome::Abort;
     resp.ts = observed; // the abort cause; the core restarts later than it
     resp.reason = static_cast<std::uint8_t>(reason);
-    resp.ops = msg.ops;
+    resp.ops = std::move(msg.ops);
     resp.bytes = 12;
     stVuAborts.add();
     ctx.events().accessDecision(msg.wid, msg.addr, ctx.partitionId(),
@@ -201,17 +202,17 @@ GetmPartitionUnit::processAccess(MemMsg &&msg, Cycle now)
     if (entry.locked()) {
         // Reserved by a logically older transaction: queue until it
         // commits (or abort if the stall buffer is full).
-        MemMsg queued = std::move(msg);
-        const MemMsg probe = queued; // copy for potential abort response
-        if (!stall.enqueue(granule, std::move(queued), now)) {
-            ctx.events().conflict(probe.wid, entry.owner,
+        const GlobalWarpId wid = msg.wid;
+        // A full buffer rejects msg untouched; it becomes the abort.
+        if (!stall.enqueue(granule, std::move(msg), now)) {
+            ctx.events().conflict(wid, entry.owner,
                                   AbortReason::StallBufferFull, granule,
                                   ctx.partitionId(), now);
-            respondAbort(probe, observed, ready,
+            respondAbort(msg, observed, ready,
                          AbortReason::StallBufferFull, now);
         } else {
             stStalledRequests.add();
-            ctx.events().stallEnter(probe.wid, AbortReason::LockedByWriter,
+            ctx.events().stallEnter(wid, AbortReason::LockedByWriter,
                                     granule, ctx.partitionId(),
                                     stall.waitersOn(granule), traceNow);
         }

@@ -73,14 +73,16 @@ class GetmPartitionUnit : public TmPartitionProtocol
     /** Grant stalled requests after #writes reached zero. */
     Cycle releaseWaiters(Addr granule, Cycle now);
 
-    void respondLoad(const MemMsg &msg, Cycle ready, Cycle now);
-    void respondStoreAck(const MemMsg &msg, Cycle ready);
+    // Each response echoes the request's lanes, so it takes over
+    // msg.ops; the caller may still read msg's other fields.
+    void respondLoad(MemMsg &msg, Cycle ready, Cycle now);
+    void respondStoreAck(MemMsg &msg, Cycle ready);
     /**
      * Abort the requester. The validation unit decides *why* here
      * (@p reason) and ships it back in the response so the core can
      * attribute the abort; @p granule feeds the hot-address profiler.
      */
-    void respondAbort(const MemMsg &msg, LogicalTs observed, Cycle ready,
+    void respondAbort(MemMsg &msg, LogicalTs observed, Cycle ready,
                       AbortReason reason, Cycle now);
 
     PartitionContext &ctx;

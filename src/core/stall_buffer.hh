@@ -40,7 +40,7 @@ class StallBuffer
      * Try to queue @p msg (a request whose granule is @p key) at cycle
      * @p now; the timestamp is kept so dequeues can report the dwell.
      * @return false if the buffer is full (the caller must abort the
-     *         requester).
+     *         requester); @p msg is then left untouched.
      */
     bool enqueue(Addr key, MemMsg &&msg, Cycle now = 0);
 

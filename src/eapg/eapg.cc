@@ -30,17 +30,25 @@ EapgPartitionUnit::onValidationStart(const MemMsg &slice, Cycle now)
     // name their aborter (genealogy only; msg.bytes stays the idealized
     // 64-bit flit, so the NoC model is untouched).
     proto.wid = slice.wid;
+    const auto writes = std::count_if(
+        slice.ops.begin(), slice.ops.end(),
+        [](const LaneOp &op) { return op.aux != 0; });
+    if (writes == 0)
+        return;
+    proto.ops.reserve(static_cast<std::size_t>(writes));
     for (const LaneOp &op : slice.ops)
         if (op.aux)
             proto.ops.push_back({0, op.addr, 0, 0});
-    if (proto.ops.empty())
-        return;
     proto.bytes = 8; // idealized 64-bit message
-    for (CoreId core = 0; core < ctx.numCores(); ++core) {
+    // Every core gets its own copy of the list; the last takes proto's.
+    const CoreId last = ctx.numCores() - 1;
+    for (CoreId core = 0; core < last; ++core) {
         MemMsg bcast = proto;
         bcast.core = core;
         ctx.scheduleToCore(std::move(bcast), now + 1);
     }
+    proto.core = last;
+    ctx.scheduleToCore(std::move(proto), now + 1);
     stSignatureBroadcasts.add(ctx.numCores());
 }
 
@@ -149,7 +157,7 @@ EapgCoreTm::maybePause(Warp &warp)
 }
 
 void
-EapgCoreTm::RemoteWrites::add(const std::vector<LaneOp> &ops)
+EapgCoreTm::RemoteWrites::add(const OpList &ops)
 {
     for (const LaneOp &op : ops) {
         addrs.push_back(op.addr);

@@ -110,7 +110,7 @@ class EapgCoreTm : public WtmCoreTm
         }
 
         /** Merge one signature slice into the set. */
-        void add(const std::vector<LaneOp> &ops);
+        void add(const OpList &ops);
 
         /** Checkpoint hook: the filter is derived, so rebuilt on load. */
         template <class Ar>

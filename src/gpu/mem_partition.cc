@@ -9,6 +9,32 @@
 
 namespace getm {
 
+void
+OutboundQueue::push(MemMsg &&msg, Cycle when)
+{
+    std::uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(slots.size());
+        slots.push_back(std::move(msg));
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+        slots[slot] = std::move(msg);
+    }
+    keys.push_back(Key{when, seq++, slot});
+    std::push_heap(keys.begin(), keys.end(), Later{});
+}
+
+MemMsg
+OutboundQueue::pop()
+{
+    std::pop_heap(keys.begin(), keys.end(), Later{});
+    const std::uint32_t slot = keys.back().slot;
+    keys.pop_back();
+    freeSlots.push_back(slot);
+    return std::move(slots[slot]);
+}
+
 MemPartition::MemPartition(PartitionId id_, const GpuConfig &config,
                            const AddressMap &map, BackingStore &store_,
                            Crossbar<MemMsg> &up, Crossbar<MemMsg> &down,
@@ -36,7 +62,7 @@ MemPartition::setProtocol(std::unique_ptr<TmPartitionProtocol> unit)
 void
 MemPartition::scheduleToCore(MemMsg &&msg, Cycle when)
 {
-    outQueue.push(Outbound{when, outSeq++, std::move(msg)});
+    outQueue.push(std::move(msg), when);
 }
 
 Cycle
@@ -57,14 +83,12 @@ MemPartition::tick(Cycle now)
 {
     // 1. Inject due responses into the down crossbar at their exact
     //    ready cycles.
-    while (!outQueue.empty() && outQueue.top().when <= now) {
-        // Moved, not copied: the heap orders by (when, seq), which the
-        // move leaves intact for pop().
-        Outbound out = std::move(const_cast<Outbound &>(outQueue.top()));
-        outQueue.pop();
-        const unsigned bytes = out.msg.bytes;
-        const CoreId core = out.msg.core;
-        xbarDown.send(id, core, bytes, out.when, std::move(out.msg));
+    while (!outQueue.empty() && outQueue.nextWhen() <= now) {
+        const Cycle when = outQueue.nextWhen();
+        MemMsg msg = outQueue.pop();
+        const unsigned bytes = msg.bytes;
+        const CoreId core = msg.core;
+        xbarDown.send(id, core, bytes, when, std::move(msg));
     }
 
     // 2. Pop and process at most one inbound message per cycle, gated by
@@ -103,8 +127,10 @@ MemPartition::handleLocal(MemMsg &&msg, Cycle now)
         resp.addr = msg.addr;
         resp.flag = msg.flag;
         resp.txId = msg.txId;
-        for (const LaneOp &op : msg.ops)
-            resp.ops.push_back({op.lane, op.addr, store.read(op.addr), 0});
+        // The response echoes the request's lanes: take over its buffer.
+        resp.ops = std::move(msg.ops);
+        for (LaneOp &op : resp.ops)
+            op.value = store.read(op.addr);
         // MSHR-tracked fills return a whole L1 line; volatile reads and
         // unmerged fallbacks return just the requested words.
         resp.bytes = msg.txId == 1
@@ -148,8 +174,10 @@ MemPartition::handleLocal(MemMsg &&msg, Cycle now)
         resp.wid = msg.wid;
         resp.warpSlot = msg.warpSlot;
         resp.addr = msg.addr;
-        // Atomics to the same line serialize here, one per cycle.
-        for (const LaneOp &op : msg.ops) {
+        // Atomics to the same line serialize here, one per cycle. Each
+        // op's slot then carries its old value back to the core.
+        resp.ops = std::move(msg.ops);
+        for (LaneOp &op : resp.ops) {
             std::uint32_t old;
             switch (static_cast<AtomicOp>(msg.aop)) {
               case AtomicOp::Cas:
@@ -165,9 +193,10 @@ MemPartition::handleLocal(MemMsg &&msg, Cycle now)
             hub.externalWrite(op.addr, store.read(op.addr));
             if (proto)
                 proto->noteDataWrite(op.addr, now);
-            resp.ops.push_back({op.lane, op.addr, old, 0});
+            op.value = old;
+            op.aux = 0;
         }
-        const Cycle busy = std::max<Cycle>(1, msg.ops.size());
+        const Cycle busy = std::max<Cycle>(1, resp.ops.size());
         resp.bytes = 8 + 4 * static_cast<unsigned>(resp.ops.size());
         scheduleToCore(std::move(resp), now + busy + llcLat + extra);
         stAtomics.add();
@@ -184,7 +213,7 @@ MemPartition::nextEventCycle(Cycle now) const
 {
     Cycle best = ~static_cast<Cycle>(0);
     if (!outQueue.empty())
-        best = std::min(best, outQueue.top().when);
+        best = std::min(best, outQueue.nextWhen());
     if (xbarUp.hasReady(id, now))
         best = std::min(best, std::max(popFree, now + 1));
     if (proto)

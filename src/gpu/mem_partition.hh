@@ -8,14 +8,23 @@
  * handler's busy time gates subsequent pops. Outbound responses are
  * scheduled at their exact ready cycles and injected into the down
  * crossbar then.
+ *
+ * Ready cycles are not monotonic (a DRAM miss is scheduled later than a
+ * hit that follows it), so outbound responses wait in an OutboundQueue:
+ * a binary min-heap of 24-byte (when, seq, slot) keys over a slot vector
+ * that holds the messages. A sift moves keys, never whole MemMsgs, and
+ * both vectors keep their storage, so steady-state scheduling allocates
+ * nothing.
  */
 
 #ifndef GETM_GPU_MEM_PARTITION_HH
 #define GETM_GPU_MEM_PARTITION_HH
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <vector>
 
 #include "mem/address_map.hh"
 #include "mem/backing_store.hh"
@@ -27,6 +36,83 @@
 namespace getm {
 
 struct GpuConfig;
+
+/**
+ * Messages ordered by (ready cycle, insertion sequence): a min-heap of
+ * keys naming slots in a message vector (file comment). Serializes as
+ * the sequence counter, then a count and the entries (when, seq, msg) in
+ * pop order -- the bytes a std::priority_queue of such entries wrote.
+ */
+class OutboundQueue
+{
+  public:
+    /** Queue @p msg for cycle @p when. */
+    void push(MemMsg &&msg, Cycle when);
+
+    bool empty() const { return keys.empty(); }
+    std::size_t size() const { return keys.size(); }
+
+    /** Ready cycle of the next pop (must be !empty()). */
+    Cycle nextWhen() const { return keys.front().when; }
+
+    /** Remove and return the earliest message (must be !empty()). */
+    MemMsg pop();
+
+    template <class Ar>
+    void
+    ckpt(Ar &ar)
+    {
+        ar(seq);
+        if constexpr (Ar::saving) {
+            std::vector<Key> order = keys;
+            std::sort(order.begin(), order.end(),
+                      [](const Key &a, const Key &b) { return Later{}(b, a); });
+            std::uint64_t n = order.size();
+            ar(n);
+            for (Key &key : order)
+                ar(key.when, key.seq, slots[key.slot]);
+        } else {
+            keys.clear();
+            slots.clear();
+            freeSlots.clear();
+            std::uint64_t n = 0;
+            ar(n);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                Key key{};
+                MemMsg msg;
+                ar(key.when, key.seq, msg);
+                key.slot = static_cast<std::uint32_t>(slots.size());
+                slots.push_back(std::move(msg));
+                keys.push_back(key);
+            }
+            // Pop order is ascending, which is already a valid min-heap.
+        }
+    }
+
+  private:
+    struct Key
+    {
+        Cycle when;
+        std::uint64_t seq;
+        std::uint32_t slot;
+    };
+    static_assert(sizeof(Key) == 24);
+
+    /** Heap order: true if @p a pops after @p b. */
+    struct Later
+    {
+        bool
+        operator()(const Key &a, const Key &b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+
+    std::uint64_t seq = 0;
+    std::vector<Key> keys;          ///< Min-heap under Later.
+    std::vector<MemMsg> slots;      ///< Queued messages, by Key::slot.
+    std::vector<std::uint32_t> freeSlots;
+};
 
 /** One LLC partition with its protocol unit. */
 class MemPartition : public PartitionContext
@@ -79,28 +165,12 @@ class MemPartition : public PartitionContext
     void
     ckpt(Ar &ar)
     {
-        ar(llcCache, dram, popFree, outSeq, outQueue, statSet);
+        ar(llcCache, dram, popFree, outQueue, statSet);
     }
 
   private:
     /** Handle non-transactional reads/writes and atomics locally. */
     Cycle handleLocal(MemMsg &&msg, Cycle now);
-
-    struct Outbound
-    {
-        Cycle when;
-        std::uint64_t seq;
-        MemMsg msg;
-
-        bool
-        operator>(const Outbound &other) const
-        {
-            return when != other.when ? when > other.when
-                                      : seq > other.seq;
-        }
-
-        template <class Ar> void ckpt(Ar &ar) { ar(when, seq, msg); }
-    };
 
     PartitionId id;
     unsigned cores;
@@ -116,10 +186,7 @@ class MemPartition : public PartitionContext
     FaultInjector *faultInj = nullptr;
 
     Cycle popFree = 0;
-    std::uint64_t outSeq = 0;
-    std::priority_queue<Outbound, std::vector<Outbound>,
-                        std::greater<Outbound>>
-        outQueue;
+    OutboundQueue outQueue;
     StatSet statSet;
 
     // Hot-path stat handles: one add per handled request.

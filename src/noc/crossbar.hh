@@ -16,13 +16,18 @@
  * starts ejecting no earlier than dstFree[dst], so deliveries to one
  * destination never decrease in send order. Send order is therefore
  * already (when, seq) order, whatever the send cycles were.
+ *
+ * An inbox is a RingFifo: a ring over a std::vector that grows by
+ * doubling and never shrinks, so once a run has reached its peak
+ * in-flight count, sends and pops allocate nothing. send() takes the
+ * message by rvalue reference and moves it into its slot; popReady()
+ * moves it out again.
  */
 
 #ifndef GETM_NOC_CROSSBAR_HH
 #define GETM_NOC_CROSSBAR_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <utility>
@@ -85,6 +90,87 @@ class CrossbarTiming
 };
 
 /**
+ * FIFO of @p T in a ring over a std::vector whose storage it keeps.
+ * The capacity is a power of two; a push into a full ring doubles it,
+ * moving the entries to the front in FIFO order. Serializes exactly like
+ * ckpt's std::deque: a count, then the entries oldest first.
+ */
+template <typename T>
+class RingFifo
+{
+  public:
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
+    std::size_t capacity() const { return slots.size(); }
+
+    T &front() { return slots[head]; }
+    const T &front() const { return slots[head]; }
+    const T &back() const { return slots[(head + count - 1) & mask()]; }
+
+    void
+    push_back(T &&value)
+    {
+        if (count == slots.size())
+            grow();
+        slots[(head + count) & mask()] = std::move(value);
+        ++count;
+    }
+
+    /** Drop the front entry; its slot keeps whatever was moved out. */
+    void
+    pop_front()
+    {
+        head = (head + 1) & mask();
+        --count;
+    }
+
+    void
+    clear()
+    {
+        head = 0;
+        count = 0;
+    }
+
+    template <class Ar>
+    void
+    ckpt(Ar &ar)
+    {
+        if constexpr (Ar::saving) {
+            std::uint64_t n = count;
+            ar(n);
+            for (std::size_t i = 0; i < count; ++i)
+                ar(slots[(head + i) & mask()]);
+        } else {
+            clear();
+            std::uint64_t n = 0;
+            ar(n);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                T value{};
+                ar(value);
+                push_back(std::move(value));
+            }
+        }
+    }
+
+  private:
+    std::size_t mask() const { return slots.size() - 1; }
+
+    void
+    grow()
+    {
+        std::vector<T> bigger(slots.empty() ? 4 : 2 * slots.size());
+        for (std::size_t i = 0; i < count; ++i)
+            bigger[i] = std::move(slots[(head + i) & mask()]);
+        slots.swap(bigger);
+        head = 0;
+    }
+
+    std::vector<T> slots;
+    std::size_t head = 0;
+    std::size_t count = 0;
+};
+
+/**
  * A crossbar carrying messages of payload type @p MsgT.
  *
  * Messages are enqueued with send() and drained per destination with
@@ -113,7 +199,7 @@ class Crossbar
 
     /** Send @p msg; returns its delivery cycle. */
     Cycle
-    send(unsigned src, unsigned dst, unsigned bytes, Cycle now, MsgT msg)
+    send(unsigned src, unsigned dst, unsigned bytes, Cycle now, MsgT &&msg)
     {
         const Cycle when = timing.route(src, dst, bytes, now);
         if (sendHook)
@@ -226,7 +312,7 @@ class Crossbar
     mutable Cycle cachedArrival = ~static_cast<Cycle>(0);
     mutable bool arrivalDirty = false;
     /** Per-destination FIFO, in (when, seq) order (file comment). */
-    std::vector<std::deque<Entry>> inbox;
+    std::vector<RingFifo<Entry>> inbox;
 };
 
 } // namespace getm

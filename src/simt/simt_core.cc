@@ -514,6 +514,7 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
             // merged requesters (an unmerged fallback, sent when the
             // MSHR file is full, writes back via its own ops instead).
             msg.txId = (!bypass && mshrs.pending(line)) ? 1 : 0;
+            msg.ops.reserve(std::popcount(group));
             for (LaneId lane = 0; lane < warpSize; ++lane)
                 if (group & (1u << lane))
                     msg.ops.push_back(
@@ -547,6 +548,7 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
             msg.wid = warp.gwid;
             msg.warpSlot = warp.slot;
             msg.flag = bypass; // needs global ordering + ack
+            msg.ops.reserve(std::popcount(group));
             unsigned data_bytes = 0;
             for (LaneId lane = 0; lane < warpSize; ++lane) {
                 if (!(group & (1u << lane)))
@@ -600,6 +602,7 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
               AtomicOp::Exch); break;
           default: msg.aop = static_cast<std::uint8_t>(AtomicOp::Add); break;
         }
+        msg.ops.reserve(std::popcount(group));
         unsigned data_bytes = 0;
         for (LaneId lane = 0; lane < warpSize; ++lane) {
             if (!(group & (1u << lane)))

@@ -1,7 +1,6 @@
 #include "warptm/wtm_core_tm.hh"
 
 #include <bit>
-#include <map>
 
 #include "check/fault.hh"
 #include "ckpt/serial.hh"
@@ -101,18 +100,22 @@ WtmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
     while (pending) {
         const LaneId lead = static_cast<LaneId>(std::countr_zero(pending));
         const Addr granule = core.granuleOf(addrs[lead]);
+        LaneMask group = 0;
+        for (LaneId lane = lead; lane < warpSize; ++lane)
+            if ((pending & (1u << lane)) &&
+                core.granuleOf(addrs[lane]) == granule)
+                group |= 1u << lane;
+        pending &= ~group;
         MemMsg msg;
         msg.kind = MsgKind::WtmTxLoad;
         msg.addr = granule;
         msg.wid = warp.gwid;
         msg.warpSlot = warp.slot;
-        for (LaneId lane = lead; lane < warpSize; ++lane) {
-            if (!(pending & (1u << lane)) ||
-                core.granuleOf(addrs[lane]) != granule)
-                continue;
-            msg.ops.push_back(
-                {static_cast<std::uint8_t>(lane), addrs[lane], 0, 0});
-            pending &= ~(1u << lane);
+        msg.ops.reserve(std::popcount(group));
+        for (LaneMask rest = group; rest; rest &= rest - 1) {
+            const auto lane =
+                static_cast<std::uint8_t>(std::countr_zero(rest));
+            msg.ops.push_back({lane, addrs[lane], 0, 0});
         }
         msg.bytes = 8 + 4 * static_cast<unsigned>(msg.ops.size());
         core.events().accessIssue(warp.gwid, granule, /*store=*/false,
@@ -299,22 +302,23 @@ WtmCoreTm::startValidation(Warp &warp)
     warp.commitIssued = true;
 
     // Build per-partition slices of the surviving lanes' logs.
-    std::map<PartitionId, MemMsg> slices;
-    for (LaneId lane = 0; lane < warpSize; ++lane) {
-        const LaneMask bit = 1u << lane;
-        if (!(warp.wtmValidating & bit))
-            continue;
-        if (mode == WtmMode::LazyLazy) {
-            for (const LogEntry &entry : warp.logs[lane].readLog())
-                slices[core.addressMap().partitionOf(entry.addr)]
-                    .ops.push_back({static_cast<std::uint8_t>(lane),
-                                    entry.addr, entry.value, 0});
+    const AddressMap &addr_map = core.addressMap();
+    const unsigned parts = addr_map.numPartitions();
+    slices.build(parts, [&](auto &&emit) {
+        for (LaneId lane = 0; lane < warpSize; ++lane) {
+            if (!(warp.wtmValidating & (1u << lane)))
+                continue;
+            const auto op_lane = static_cast<std::uint8_t>(lane);
+            if (mode == WtmMode::LazyLazy) {
+                for (const LogEntry &entry : warp.logs[lane].readLog())
+                    emit(addr_map.partitionOf(entry.addr),
+                         LaneOp{op_lane, entry.addr, entry.value, 0});
+            }
+            for (const LogEntry &entry : warp.logs[lane].writeLog())
+                emit(addr_map.partitionOf(entry.addr),
+                     LaneOp{op_lane, entry.addr, entry.value, 1});
         }
-        for (const LogEntry &entry : warp.logs[lane].writeLog())
-            slices[core.addressMap().partitionOf(entry.addr)]
-                .ops.push_back({static_cast<std::uint8_t>(lane), entry.addr,
-                                entry.value, 1});
-    }
+    });
 
     sliceParts[warp.slot].clear();
 
@@ -323,8 +327,10 @@ WtmCoreTm::startValidation(Warp &warp)
         // with the (instant) final validation, so the functional apply
         // happens here; the write-log messages and acks model the
         // single-round-trip commit timing only.
-        for (auto &[part, msg] : slices) {
-            for (const LaneOp &op : msg.ops) {
+        for (PartitionId part = 0; part < parts; ++part) {
+            if (!slices.has(part))
+                continue;
+            for (const LaneOp &op : slices[part].ops) {
                 FaultInjector *fi = core.faults();
                 if (fi && fi->fire(FaultKind::DropCommitWrite))
                     continue; // injected lost write
@@ -336,7 +342,10 @@ WtmCoreTm::startValidation(Warp &warp)
                                            value);
             }
         }
-        for (auto &[part, msg] : slices) {
+        for (PartitionId part = 0; part < parts; ++part) {
+            if (!slices.has(part))
+                continue;
+            MemMsg &msg = slices[part];
             msg.kind = MsgKind::WtmValidate;
             msg.flag = true; // eager-lazy: apply immediately
             msg.wid = warp.gwid;
@@ -363,12 +372,10 @@ WtmCoreTm::startValidation(Warp &warp)
     // Lazy-lazy: two round trips in global commit order. Every partition
     // receives either its slice or a skip so ids stay contiguous.
     warp.commitId = gpu.allocCommitId();
-    const unsigned parts = core.addressMap().numPartitions();
     for (PartitionId part = 0; part < parts; ++part) {
-        auto it = slices.find(part);
         MemMsg msg;
-        if (it != slices.end()) {
-            msg = std::move(it->second);
+        if (slices.has(part)) {
+            msg = std::move(slices[part]);
             msg.kind = MsgKind::WtmValidate;
             msg.flag = false;
             msg.bytes = 8 + 12 * static_cast<unsigned>(msg.ops.size());

@@ -129,6 +129,8 @@ class WtmCoreTm : public TmCoreProtocol
     SimtCore &core;
     WtmGpuTm &gpu;
     WtmMode mode;
+    /** startValidation's per-partition slices. */
+    LogChunks slices;
     /** Partitions holding a validation slice, per warp slot. */
     std::vector<std::vector<PartitionId>> sliceParts;
     /** Warp slots whose EL commit waits for the serial micro-phase. */

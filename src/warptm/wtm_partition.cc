@@ -1,6 +1,7 @@
 #include "warptm/wtm_partition.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/fault.hh"
 #include "ckpt/serial.hh"
@@ -41,13 +42,14 @@ WtmPartitionUnit::handleRequest(MemMsg &&msg, Cycle now)
         resp.warpSlot = msg.warpSlot;
         resp.addr = msg.addr;
         Cycle extra = 0;
-        for (const LaneOp &op : msg.ops) {
+        // The response echoes the request's lanes: take over its buffer.
+        resp.ops = std::move(msg.ops);
+        for (LaneOp &op : resp.ops) {
             const Cycle last = tcd.lookup(op.addr).first;
-            const std::uint32_t value = ctx.memory().read(op.addr);
-            ctx.events().readObserved(msg.wid, op.lane, op.addr, value);
-            resp.ops.push_back({op.lane, op.addr, value,
-                                static_cast<std::uint32_t>(std::min<Cycle>(
-                                    last, 0xffffffffu))});
+            op.value = ctx.memory().read(op.addr);
+            ctx.events().readObserved(msg.wid, op.lane, op.addr, op.value);
+            op.aux = static_cast<std::uint32_t>(
+                std::min<Cycle>(last, 0xffffffffu));
             extra = std::max(extra, ctx.accessLlc(op.addr, false, now));
         }
         resp.bytes = 8 + 8 * static_cast<unsigned>(resp.ops.size());
@@ -200,9 +202,10 @@ WtmPartitionUnit::validateSlice(MemMsg &&slice, Cycle now)
                                   ctx.partitionId(), now);
         }
     }
-    for (LaneId lane = 0; lane < warpSize; ++lane)
-        if (failed & (1u << lane))
-            resp.ops.push_back({static_cast<std::uint8_t>(lane), 0, 0, 0});
+    resp.ops.reserve(std::popcount(failed));
+    for (LaneMask rest = failed; rest; rest &= rest - 1)
+        resp.ops.push_back(
+            {static_cast<std::uint8_t>(std::countr_zero(rest)), 0, 0, 0});
     resp.bytes = 8;
     ctx.scheduleToCore(std::move(resp), start + busy + ctx.llcLatency() +
                                             extra);

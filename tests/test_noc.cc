@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -90,7 +91,7 @@ TEST(Crossbar, SameSrcDstIsFifo)
     // GETM relies on this for commit-log vs next-transaction ordering.
     Crossbar<int> xbar("x", 1, 1, config());
     for (int i = 0; i < 50; ++i)
-        xbar.send(0, 0, 8 + (i % 3) * 40, i / 2, i);
+        xbar.send(0, 0, 8 + (i % 3) * 40, i / 2, int{i});
     int expected = 0;
     for (Cycle now = 0; now < 1000; ++now)
         while (xbar.hasReady(0, now))
@@ -147,7 +148,7 @@ sendMixed(Crossbar<int> &xbar, std::vector<Sent> &sent, int count,
         const Cycle now = base + next(17) - 8;
         base += next(3);
         const int id = static_cast<int>(sent.size());
-        sent.push_back({dst, xbar.send(src, dst, bytes, now, id), id});
+        sent.push_back({dst, xbar.send(src, dst, bytes, now, int{id}), id});
     }
 }
 
@@ -258,6 +259,154 @@ TEST(Crossbar, CheckpointKeepsInFlightOrderAndFormat)
     }
     // Later sends continue the restored sequence and port clocks.
     EXPECT_EQ(restored.send(0, 1, 8, 500, -1), xbar.send(0, 1, 8, 500, -1));
+}
+
+/** An inbox-shaped entry for the RingFifo tests. */
+struct RingItem
+{
+    Cycle when;
+    std::uint64_t seq;
+    int msg;
+
+    template <class Ar> void ckpt(Ar &ar) { ar(when, seq, msg); }
+};
+
+/**
+ * Checkpoint @p ring and check its bytes against ckpt's std::deque
+ * encoding of @p ref and the same built by hand (a count, then
+ * (when, seq, msg) oldest first); a ring restored from them must hold
+ * @p ref's entries in order.
+ */
+void
+expectDequeBytes(RingFifo<RingItem> &ring, std::deque<RingItem> &ref)
+{
+    ckpt::Writer ring_bytes, deque_bytes, hand_bytes;
+    ring.ckpt(ring_bytes);
+    ckpt::io(deque_bytes, ref);
+    std::uint64_t n = ref.size();
+    hand_bytes(n);
+    for (RingItem item : ref)
+        hand_bytes(item.when, item.seq, item.msg);
+    EXPECT_EQ(ring_bytes.bytes(), deque_bytes.bytes());
+    EXPECT_EQ(ring_bytes.bytes(), hand_bytes.bytes());
+
+    const std::string bytes(ring_bytes.bytes());
+    RingFifo<RingItem> restored;
+    ckpt::Reader r(bytes.data(), bytes.size());
+    restored.ckpt(r);
+    EXPECT_EQ(r.remaining(), 0u);
+    ASSERT_EQ(restored.size(), ref.size());
+    for (const RingItem &item : ref) {
+        EXPECT_EQ(restored.front().msg, item.msg);
+        restored.pop_front();
+    }
+}
+
+TEST(RingFifo, HeadWrapsBeforeGrowthAndBytesMatchDequeFormat)
+{
+    RingFifo<RingItem> ring;
+    std::deque<RingItem> ref;
+    int next = 0;
+    auto push = [&] {
+        const RingItem item{static_cast<Cycle>(10 * next),
+                            static_cast<std::uint64_t>(next), next};
+        ring.push_back(RingItem{item});
+        ref.push_back(item);
+        ++next;
+    };
+    auto pop = [&] {
+        ASSERT_EQ(ring.front().msg, ref.front().msg);
+        ring.pop_front();
+        ref.pop_front();
+    };
+
+    for (int i = 0; i < 4; ++i)
+        push();
+    const std::size_t initial = ring.capacity();
+    ASSERT_EQ(initial, 4u);
+    for (int i = 0; i < 3; ++i)
+        pop();
+    // The head sits at the last slot; these pushes wrap the tail and
+    // fill the ring: entries 3, 4, 5, 6 in slots 3, 0, 1, 2.
+    for (int i = 0; i < 3; ++i)
+        push();
+    EXPECT_EQ(ring.capacity(), initial);
+    EXPECT_EQ(ring.back().msg, 6);
+    expectDequeBytes(ring, ref);
+
+    // Full and wrapped: this push grows the ring while it holds
+    // entries, which must keep their order.
+    push();
+    EXPECT_EQ(ring.capacity(), 2 * initial);
+    // Move the head off slot 0 again before the next checkpoint.
+    pop();
+    pop();
+    push();
+    expectDequeBytes(ring, ref);
+
+    std::vector<int> popped;
+    while (!ring.empty()) {
+        popped.push_back(ring.front().msg);
+        ring.pop_front();
+    }
+    EXPECT_EQ(popped, (std::vector<int>{5, 6, 7, 8}));
+}
+
+TEST(Crossbar, InboxWrapsAndGrowsInFlight)
+{
+    // One source and destination, so arrival order is send order.
+    Crossbar<int> xbar("x", 1, 1, config());
+    std::vector<Cycle> when; // delivery cycle, by id
+    Cycle now = 0;
+    auto send = [&] {
+        const int id = static_cast<int>(when.size());
+        when.push_back(xbar.send(0, 0, 8, now++, int{id}));
+    };
+    for (int i = 0; i < 4; ++i)
+        send();
+    // Popping three moves the inbox head to the ring's last slot; three
+    // more sends then wrap the tail and fill the ring.
+    std::vector<int> popped;
+    for (; popped.size() < 3; ++now)
+        while (xbar.hasReady(0, now) && popped.size() < 3)
+            popped.push_back(xbar.popReady(0));
+    for (int i = 0; i < 3; ++i)
+        send();
+
+    // Checkpoint while wrapped. The inbox section is the send sequence,
+    // the destination count, then ids 3-6 as (when, seq, msg).
+    ckpt::Writer w;
+    xbar.ckpt(w);
+    const std::string bytes = w.take();
+    ckpt::Writer inbox;
+    std::uint64_t seq = when.size(), dsts = 1, n = 4;
+    inbox(seq, dsts, n);
+    for (int id = 3; id < 7; ++id) {
+        Cycle delivery = when[id];
+        std::uint64_t entry_seq = static_cast<std::uint64_t>(id);
+        int msg = id;
+        inbox(delivery, entry_seq, msg);
+    }
+    const std::string tail = inbox.take();
+    ASSERT_GE(bytes.size(), tail.size());
+    EXPECT_EQ(bytes.substr(bytes.size() - tail.size()), tail);
+
+    Crossbar<int> restored("x", 1, 1, config());
+    ckpt::Reader r(bytes.data(), bytes.size());
+    restored.ckpt(r);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(restored.inFlight(), 4u);
+
+    // Five more sends grow both rings while they hold wrapped entries.
+    for (Crossbar<int> *each : {&xbar, &restored})
+        for (int i = 0; i < 5; ++i)
+            each->send(0, 0, 8, now + i, 7 + i);
+    std::vector<int> rest, restored_rest;
+    popUntil(xbar, 0, 1000, rest);
+    popUntil(restored, 0, 1000, restored_rest);
+    EXPECT_EQ(rest, (std::vector<int>{3, 4, 5, 6, 7, 8, 9, 10, 11}));
+    EXPECT_EQ(restored_rest, rest);
+    EXPECT_TRUE(xbar.idle());
 }
 
 TEST(CrossbarDeath, PortOutOfRange)

@@ -2,11 +2,18 @@
  * @file
  * Direct tests of MemPartition: local request handling (reads, volatile
  * writes, atomics), response scheduling into the down crossbar, port
- * gating, and idle/next-event reporting for the simulation loop.
+ * gating, idle/next-event reporting for the simulation loop, and the
+ * outbound queue's order and checkpoint bytes against the
+ * std::priority_queue it replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <vector>
+
+#include "ckpt/serial.hh"
 #include "gpu/gpu_system.hh"
 #include "gpu/mem_partition.hh"
 
@@ -182,6 +189,139 @@ TEST(MemPartition, IdleAndNextEventReporting)
         ++now;
     EXPECT_FALSE(rig.part.idle(now));
     EXPECT_NE(rig.part.nextEventCycle(now), ~static_cast<Cycle>(0));
+}
+
+/** An outbound entry as the std::priority_queue-based queue held it. */
+struct RefOutbound
+{
+    Cycle when;
+    std::uint64_t seq;
+    MemMsg msg;
+
+    bool
+    operator>(const RefOutbound &other) const
+    {
+        return when != other.when ? when > other.when : seq > other.seq;
+    }
+
+    template <class Ar> void ckpt(Ar &ar) { ar(when, seq, msg); }
+};
+
+using RefQueue = std::priority_queue<RefOutbound, std::vector<RefOutbound>,
+                                     std::greater<RefOutbound>>;
+
+/** A message tagged @p id in ts, with 1-8 ops (exercises the pool). */
+MemMsg
+tagged(std::uint64_t id)
+{
+    MemMsg msg;
+    msg.ts = id;
+    msg.kind = MsgKind::GetmLoadResp;
+    msg.ops.reserve(1 + id % 8);
+    for (std::uint64_t i = 0; i <= id % 8; ++i)
+        msg.ops.push_back({static_cast<std::uint8_t>(i), 4 * id + 4 * i,
+                           static_cast<std::uint32_t>(id), 0});
+    msg.bytes = 8 + 4 * static_cast<unsigned>(msg.ops.size());
+    return msg;
+}
+
+std::string
+bytesOf(OutboundQueue &queue)
+{
+    ckpt::Writer w;
+    queue.ckpt(w);
+    return w.take();
+}
+
+TEST(OutboundQueue, MatchesPriorityQueueWithNonMonotonicWhens)
+{
+    OutboundQueue queue;
+    RefQueue ref;
+    std::uint64_t ref_seq = 0;
+    std::uint64_t state = 99;
+    auto next = [&state](unsigned bound) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<unsigned>((state >> 33) % bound);
+    };
+    auto pop_both = [&](OutboundQueue &q) {
+        ASSERT_FALSE(q.empty());
+        EXPECT_EQ(q.nextWhen(), ref.top().when);
+        const MemMsg msg = q.pop();
+        EXPECT_EQ(msg.ts, ref.top().msg.ts);
+        ASSERT_EQ(msg.ops.size(), ref.top().msg.ops.size());
+        for (std::size_t i = 0; i < msg.ops.size(); ++i)
+            EXPECT_EQ(msg.ops[i].addr, ref.top().msg.ops[i].addr);
+        ref.pop();
+    };
+
+    Cycle now = 0;
+    std::uint64_t id = 0;
+    for (int step = 0; step < 3000; ++step) {
+        if (step == 1500) {
+            // Mid-flight checkpoint: the std::priority_queue's bytes,
+            // and a restore that writes them back unchanged.
+            ASSERT_GT(queue.size(), 20u);
+            ckpt::Writer w;
+            w(ref_seq);
+            ckpt::io(w, ref);
+            const std::string bytes = bytesOf(queue);
+            EXPECT_EQ(bytes, w.bytes());
+            OutboundQueue restored;
+            ckpt::Reader r(bytes.data(), bytes.size());
+            restored.ckpt(r);
+            EXPECT_EQ(r.remaining(), 0u);
+            EXPECT_EQ(bytesOf(restored), bytes);
+            queue = std::move(restored);
+        }
+        if (next(3) != 0) {
+            // Ready cycles jump back as well as forward (an LLC hit
+            // after a DRAM miss), with ties.
+            const Cycle when = now + next(200);
+            queue.push(tagged(id), when);
+            ref.push(RefOutbound{when, ref_seq++, tagged(id)});
+            ++id;
+        } else {
+            now += next(8);
+            while (!ref.empty() && ref.top().when <= now)
+                pop_both(queue);
+            EXPECT_TRUE(queue.empty() || queue.nextWhen() > now);
+        }
+    }
+    while (!ref.empty())
+        pop_both(queue);
+    EXPECT_TRUE(queue.empty());
+}
+
+TEST(MemPartition, OutboundResponsesLeaveInReadyOrder)
+{
+    // Responses scheduled out of order reach the down crossbar in
+    // (ready cycle, schedule order); one core keeps that order visible.
+    Rig rig;
+    const std::vector<Cycle> ready = {40, 12, 40, 7, 25, 12, 90, 3};
+    for (std::size_t i = 0; i < ready.size(); ++i)
+        rig.part.scheduleToCore(tagged(i), ready[i]);
+
+    ckpt::Writer w;
+    rig.part.ckpt(w);
+    const std::string bytes = w.take();
+    Rig copy;
+    ckpt::Reader r(bytes.data(), bytes.size());
+    copy.part.ckpt(r);
+    EXPECT_EQ(r.remaining(), 0u);
+    ckpt::Writer again;
+    copy.part.ckpt(again);
+    EXPECT_EQ(again.bytes(), bytes);
+
+    for (Rig *each : {&rig, &copy}) {
+        std::vector<std::uint64_t> order;
+        for (Cycle now = 0; now < 500; ++now) {
+            each->part.tick(now);
+            while (each->down.hasReady(0, now))
+                order.push_back(each->down.popReady(0).ts);
+        }
+        EXPECT_EQ(order,
+                  (std::vector<std::uint64_t>{7, 3, 1, 5, 4, 0, 2, 6}));
+    }
 }
 
 } // namespace

@@ -1,10 +1,7 @@
 #include "bench/bench_common.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <tuple>
 
 #include "common/log.hh"
 
@@ -52,47 +49,6 @@ runBench(const BenchSpec &spec)
         fatal("%s/%s failed verification: %s", benchName(spec.bench),
               protocolName(spec.protocol), why.c_str());
     return outcome;
-}
-
-std::uint64_t
-lockBaselineCycles(BenchId bench, double scale, std::uint64_t seed)
-{
-    static std::map<std::tuple<BenchId, long, std::uint64_t>,
-                    std::uint64_t>
-        cache;
-    const auto key = std::make_tuple(
-        bench, static_cast<long>(scale * 1e6), seed);
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-    BenchSpec spec;
-    spec.bench = bench;
-    spec.protocol = ProtocolKind::FgLock;
-    spec.scale = scale;
-    spec.seed = seed;
-    const std::uint64_t cycles = runBench(spec).run.cycles;
-    cache.emplace(key, cycles);
-    return cycles;
-}
-
-void
-printHeader(const std::string &title,
-            const std::vector<std::string> &columns)
-{
-    std::printf("\n%s\n", title.c_str());
-    std::printf("%-10s", "bench");
-    for (const auto &column : columns)
-        std::printf(" %14s", column.c_str());
-    std::printf("\n");
-}
-
-void
-printRow(const std::string &label, const std::vector<double> &values)
-{
-    std::printf("%-10s", label.c_str());
-    for (double value : values)
-        std::printf(" %14.3f", value);
-    std::printf("\n");
 }
 
 double

@@ -1,19 +1,18 @@
 /**
  * @file
- * Shared driver for the paper-reproduction benches.
+ * Shared driver for the C++ benches: the GETM ablation study and the
+ * throughput harness. The paper's figures and tables come from the
+ * sweep manifests in configs/sweeps/, rendered into EXPERIMENTS.md by
+ * tools/render_experiments.py.
  *
- * Every bench binary regenerates one table or figure from the paper's
- * evaluation (Sec. III and VI). Runs are sized by a scale factor
- * (GETM_BENCH_SCALE, default 1.0 = the paper's workload sizes; smaller
- * values trade fidelity for wall-clock time). Absolute cycle counts
- * differ from the paper's GPGPU-Sim numbers by design -- the claims
- * under reproduction are the *relative* shapes.
+ * Runs are sized by a scale factor (GETM_BENCH_SCALE, default 1.0 =
+ * the paper's workload sizes; smaller values trade fidelity for
+ * wall-clock time).
  */
 
 #ifndef GETM_BENCH_BENCH_COMMON_HH
 #define GETM_BENCH_BENCH_COMMON_HH
 
-#include <string>
 #include <vector>
 
 #include "gpu/gpu_system.hh"
@@ -50,16 +49,6 @@ struct BenchOutcome
 
 /** Run one benchmark; aborts the bench if verification fails. */
 BenchOutcome runBench(const BenchSpec &spec);
-
-/** "cycles" for the lock baseline of @p bench (memoized per scale). */
-std::uint64_t lockBaselineCycles(BenchId bench, double scale,
-                                 std::uint64_t seed);
-
-/** Printf-style row helpers for table output. */
-void printHeader(const std::string &title,
-                 const std::vector<std::string> &columns);
-void printRow(const std::string &label,
-              const std::vector<double> &values);
 
 /** Geometric mean of positive values. */
 double gmean(const std::vector<double> &values);

@@ -11,7 +11,9 @@ Two checks over README.md, EXPERIMENTS.md, DESIGN.md and docs/*.md:
    References are resolved against the referencing file's directory
    first, then the repository root. Paths under build output
    directories (`build/`, `out/`, absolute paths) are ignored: they
-   only exist after a build.
+   only exist after a build. The exception is a bench program,
+   `build/bench/NAME` or `bench/NAME`, which must have its source
+   `bench/NAME.cc`, so docs cannot keep naming a deleted program.
 
 2. Every `--flag` the documentation shows for a simulator CLI must be
    accepted by the binary. A flag is attributed to a binary when it
@@ -52,6 +54,8 @@ DIR_RE = re.compile(
     r"(?<![\w/.-])((?:src|docs|tools|tests|bench|configs|examples)"
     r"(?:/[A-Za-z0-9_.-]+)*/)(?![\w.-])")
 BARE_MD_RE = re.compile(r"(?<![\w/.-])([A-Z][A-Z_]+\.md)\b")
+BENCH_BIN_RE = re.compile(
+    r"(?<![\w/.-])(?:\./)?(?:build/)?bench/(\w+)(?![\w/.-])")
 FLAG_RE = re.compile(r"(--[A-Za-z][A-Za-z0-9-]*)")
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 # `--flag`, `--flag N`, `--flag FILE`, `--flag=VALUE` style inline
@@ -91,6 +95,11 @@ def check_paths(root, path, text, problems):
             continue
         problems.append(f"{os.path.relpath(path, root)}: "
                         f"references missing path '{ref}'")
+    for name in sorted(set(BENCH_BIN_RE.findall(text))):
+        if not os.path.isfile(os.path.join(root, "bench", name + ".cc")):
+            problems.append(f"{os.path.relpath(path, root)}: "
+                            f"references bench program '{name}' "
+                            f"without bench/{name}.cc")
 
 
 def binary_flags(binary_path):

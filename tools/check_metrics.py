@@ -32,7 +32,12 @@ standalone points/<id>.trace.json side file with schema
 defining invariant is checked per transaction: the exec/noc/stall/
 validation/retry cycle categories sum exactly to the transaction's
 lifetime, and every kill chain refers back to a traced transaction
-whose abort list it restates.
+whose abort list it restates. Where the run's counters are at hand --
+the run section of the same metrics document, or for a side file the
+same point of a sweep document given on the same command line -- the
+tracer's raw scheduler-dwell totals must not exceed them:
+raw_exec + raw_mem <= run.tx_exec_cycles and
+raw_validate + raw_backoff <= run.tx_wait_cycles.
 
 Schema versions are parsed from src/obs/schema_version.hh, the single
 source of truth shared with the C++ exporters.
@@ -335,6 +340,24 @@ def check_tx_trace(trace):
     return trace
 
 
+def check_trace_bounds(trace, run):
+    """Tracer dwell totals are bounded by the aggregate counters.
+
+    Tracing clips each warp's dwell at its transaction's begin and
+    excludes pre-begin throttling, so the traced totals can only be
+    lower than the counters the figures are built from.
+    """
+    totals = trace["totals"]
+    exec_ = totals["raw_exec"] + totals["raw_mem"]
+    wait = totals["raw_validate"] + totals["raw_backoff"]
+    require(exec_ <= run["tx_exec_cycles"],
+            f"tx_trace raw_exec + raw_mem = {exec_} exceeds "
+            f"run.tx_exec_cycles = {run['tx_exec_cycles']}")
+    require(wait <= run["tx_wait_cycles"],
+            f"tx_trace raw_validate + raw_backoff = {wait} exceeds "
+            f"run.tx_wait_cycles = {run['tx_wait_cycles']}")
+
+
 def check_trace_document(doc):
     require(doc.get("version") == TRACE_VERSION,
             f"trace version is {doc.get('version')!r}, "
@@ -441,6 +464,7 @@ def check_document(doc):
     check_timeseries(doc["timeseries"])
     if "tx_trace" in doc:
         check_tx_trace(doc["tx_trace"])
+        check_trace_bounds(doc["tx_trace"], doc["run"])
 
     for name, hist in doc["stats"]["histograms"].items():
         total = sum(b["count"] for b in hist["buckets"])
@@ -454,12 +478,27 @@ def main(argv):
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    docs = []
     for path in argv[1:]:
         try:
             with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+                docs.append((path, json.load(fh)))
+        except (OSError, json.JSONDecodeError) as err:
+            print(f"check_metrics: {path}: {err}", file=sys.stderr)
+            return 1
+    # A trace side file has no run section: its counters are those of
+    # the same point in a sweep document given alongside it.
+    runs = {point_id: point["run"]
+            for _, doc in docs if doc.get("schema") == SWEEP_SCHEMA
+            for point_id, point in doc.get("points", {}).items()
+            if "run" in point}
+    for path, doc in docs:
+        run = runs.get(doc.get("point"))
+        try:
             check_document(doc)
-        except (OSError, json.JSONDecodeError, CheckError) as err:
+            if doc.get("schema") == TRACE_SCHEMA and run is not None:
+                check_trace_bounds(doc["tx_trace"], run)
+        except CheckError as err:
             print(f"check_metrics: {path}: {err}", file=sys.stderr)
             return 1
         if doc.get("schema") == SWEEP_SCHEMA:
@@ -473,7 +512,9 @@ def main(argv):
             print(f"check_metrics: {path}: OK "
                   f"(tx trace, {trace['traced']} transactions, "
                   f"{trace['committed']} committed, "
-                  f"{len(trace['kill_chains'])} kill chains)")
+                  f"{len(trace['kill_chains'])} kill chains"
+                  + (", within the run's counters" if run else "")
+                  + ")")
         elif "failure" in doc:
             failure = doc["failure"]
             print(f"check_metrics: {path}: OK "

@@ -189,6 +189,10 @@ GetmCoreTm::txCommitPoint(Warp &warp)
                                     entry.count});
                 } else if (!(committers & bit) &&
                            (warp.abortedMask & bit)) {
+                    // The walk follows the lane map's iteration order,
+                    // which is simulated behaviour: cleanup op order
+                    // sets the busy offsets releaseWaiters gives the
+                    // stalled requests (GetmBehavior pins it).
                     for (const auto &[granule, count] :
                          warp.granted.forLane(lane))
                         emit(addr_map.partitionOf(granule),

@@ -14,7 +14,9 @@
  *    every point runs many GC passes;
  *  - CL/GETM at scale 1.0 (about 14 passes at the default period);
  *  - the fault cases of CI's check-smoke job, plus skip-rts-bump on
- *    HT-H at scale 0.25, where cycles close across GC passes.
+ *    HT-H at scale 0.25, where cycles close across GC passes;
+ *  - CC and BH at scale 0.25 under WarpTM-LL and EAPG, which pin the
+ *    history their validation windows and broadcasts commit.
  *
  * Runs use the getm-sim defaults (GTX 480 machine, seed 7, per-bench
  * optimal concurrency). To regenerate the golden after an intended
@@ -83,6 +85,9 @@ goldenMatrix()
         cases.push_back({"HT-H", f.protocol, 0.05, f.fault, 4096});
     cases.push_back({"HT-H", ProtocolKind::Getm, 0.25,
                      FaultKind::SkipRtsBump, 4096});
+    for (const char *bench : {"CC", "BH"})
+        for (ProtocolKind p : {ProtocolKind::WarpTmLL, ProtocolKind::Eapg})
+            cases.push_back({bench, p, 0.25, FaultKind::None, 4096});
     return cases;
 }
 

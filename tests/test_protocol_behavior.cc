@@ -12,6 +12,7 @@
 
 #include "gpu/gpu_system.hh"
 #include "isa/kernel_builder.hh"
+#include "workloads/registry.hh"
 #include "workloads/workload.hh"
 
 namespace getm {
@@ -199,6 +200,85 @@ TEST(EapgBehavior, MultiSliceWriteSetsPinned)
     EXPECT_EQ(result.cycles, 31694u);
     EXPECT_EQ(result.stats.counter("eapg_early_aborts"), 8045u);
     EXPECT_EQ(result.stats.counter("eapg_pauses"), 531u);
+}
+
+/**
+ * Each thread increments @p per_thread words spread over @p n_cells
+ * words, so one warp's commit writes a few hundred distinct words.
+ */
+Kernel
+wideIncrementKernel(Addr cells, unsigned n_cells, unsigned per_thread)
+{
+    KernelBuilder kb("wide");
+    const Reg tid(1), i(2), off(3), addr(4), v(5), cond(6);
+    kb.readSpecial(tid, SpecialReg::ThreadId);
+    kb.txBegin();
+    kb.li(i, 0);
+    kb.muli(off, tid, 37);
+    auto head = kb.newLabel(), done = kb.newLabel();
+    kb.bind(head);
+    kb.remui(addr, off, n_cells);
+    kb.shli(addr, addr, 2);
+    kb.addi(addr, addr, static_cast<std::int64_t>(cells));
+    kb.load(v, addr);
+    kb.addi(v, v, 1);
+    kb.store(addr, v);
+    kb.addi(off, off, 101);
+    kb.addi(i, i, 1);
+    kb.sltsi(cond, i, per_thread);
+    kb.bnez(cond, head, done);
+    kb.bind(done);
+    kb.txCommit();
+    kb.exit();
+    return kb.build();
+}
+
+TEST(EapgBehavior, SaturatedFiltersManySlotsPinned)
+{
+    // A warp's write set here is 384 words, so the 256-bit filters that
+    // screen the conflict checks are nearly all ones, and 80 warp slots
+    // per core take more than one word of any per-slot bitset. The
+    // pinned figures must not move when the checks are screened.
+    GpuConfig cfg = GpuConfig::testRig();
+    cfg.protocol = ProtocolKind::Eapg;
+    cfg.core.maxWarps = 80;
+    GpuSystem gpu(cfg);
+    const unsigned n_cells = 8192, per_thread = 12;
+    const unsigned n_threads = 2 * 80 * warpSize;
+    const Addr cells = gpu.memory().allocate(4 * n_cells);
+    const RunResult result = gpu.run(
+        wideIncrementKernel(cells, n_cells, per_thread), n_threads);
+    EXPECT_EQ(result.commits, n_threads);
+    std::uint64_t total = 0;
+    for (unsigned c = 0; c < n_cells; ++c)
+        total += gpu.memory().read(cells + 4 * c);
+    EXPECT_EQ(total, std::uint64_t{per_thread} * n_threads);
+    EXPECT_EQ(result.cycles, 398581u);
+    EXPECT_EQ(result.stats.counter("eapg_early_aborts"), 10583u);
+    EXPECT_EQ(result.stats.counter("eapg_pauses"), 462u);
+}
+
+TEST(GetmBehavior, CleanupGrantOrderPinned)
+{
+    // The commit-time walk over each lane's granted granules follows
+    // the hash table's iteration order, and that order sets the busy
+    // offsets of the waiters each cleanup releases. Walking the grants
+    // sorted instead moves this run to 1,524,205 cycles.
+    WorkloadSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseWorkloadSpec("YCSB:theta=0.99", spec, error)) << error;
+    GpuConfig cfg = GpuConfig::gtx480();
+    cfg.protocol = ProtocolKind::Getm;
+    cfg.seed = 7;
+    cfg.core.txWarpLimit = optimalConcurrency(spec, ProtocolKind::Getm);
+    GpuSystem gpu(cfg);
+    auto workload = makeWorkload(spec, 0.1, 7);
+    workload->setup(gpu, false);
+    const RunResult result =
+        gpu.run(workload->kernel(), workload->numThreads());
+    std::string why;
+    EXPECT_TRUE(workload->verify(gpu, why)) << why;
+    EXPECT_EQ(result.cycles, 1126004u);
 }
 
 TEST(GetmBehavior, ReadOwnWriteForwardsFromRedoLog)

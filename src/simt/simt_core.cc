@@ -644,13 +644,7 @@ SimtCore::execTxBegin(Warp &warp, LaneMask active)
     warp.iwcd.clear();
     warp.granted.clearAll();
     warp.retriesThisTx = 0;
-    warp.txStartCycle = currentCycle;
-    warp.tcdOkLanes = active;
     warp.commitPointFired = false;
-    warp.validationFailed = 0;
-    warp.commitIssued = false;
-    warp.pendingValidations = 0;
-    warp.pendingAcks = 0;
     stTxBegins.add();
     hub.attemptBegin(warp.gwid, coreId, warp.slot, 0, active, warp.firstTid,
                      currentCycle, currentCycle);
@@ -774,10 +768,6 @@ SimtCore::retireTxAttempt(Warp &warp, LaneMask committed_lanes)
         log.clear();
     warp.iwcd.clear();
     warp.granted.clearAll();
-    warp.pendingValidations = 0;
-    warp.pendingAcks = 0;
-    warp.validationFailed = 0;
-    warp.commitIssued = false;
 
     if (retry_mask) {
         SimtEntry &retry = warp.stack[ri];
@@ -786,8 +776,6 @@ SimtCore::retireTxAttempt(Warp &warp, LaneMask committed_lanes)
         retry.mask = 0;
         warp.abortedMask = 0;
         warp.retriesThisTx++;
-        warp.tcdOkLanes = retry_mask;
-        warp.txStartCycle = currentCycle;
         warp.commitPointFired = false;
         const Cycle delay = warp.backoff.nextDelay(randomGen);
         // Retries re-enter the transaction body without re-executing

@@ -89,13 +89,6 @@ Warp::launch(GlobalWarpId gwid_, std::uint32_t slot_,
     iwcd.clear();
     granted.clearAll();
     retriesThisTx = 0;
-    txStartCycle = now;
-    tcdOkLanes = 0;
-    commitId = 0;
-    pendingValidations = 0;
-    pendingAcks = 0;
-    validationFailed = 0;
-    commitIssued = false;
 }
 
 } // namespace getm

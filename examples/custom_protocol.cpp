@@ -25,6 +25,7 @@
 #include <cstdio>
 
 #include "gpu/gpu_system.hh"
+#include "tm/intra_warp_cd.hh"
 #include "workloads/workload.hh"
 
 using namespace getm;

@@ -19,8 +19,9 @@
  * Unordered containers and byte determinism
  * -----------------------------------------
  * The simulator's byte-determinism contract makes the *iteration
- * order* of several std::unordered_map/set instances observable (GETM's
- * grant-table walks, ...). A restored container must therefore
+ * order* of several std::unordered_map/set instances observable (the
+ * cleanup walk over the grant tables GetmCoreTm keeps per warp slot,
+ * ...). A restored container must therefore
  * reproduce the original's internal layout exactly, not just its
  * contents. libstdc++'s hashtable keeps
  * every node on one forward list with each bucket's nodes contiguous,

@@ -14,11 +14,26 @@ namespace getm {
 void
 GetmCoreTm::onTxBegin(Warp &warp)
 {
+    SlotState &st = slots[warp.slot];
+    st.granted.clearAll();
+    st.iwcd.clear();
     // Re-stamp the persisted slot timestamp with this warp's id: fresh
     // slots start at clock 0, and a relaunched slot may now host a
     // different warp (uniqueness is per *active* warp id).
-    warp.warpts = composeTs(tsClock(warp.warpts), warp.gwid);
-    warp.maxObservedTs = warp.warpts;
+    st.warpts = composeTs(tsClock(st.warpts), warp.gwid);
+    st.maxObservedTs = st.warpts;
+}
+
+void
+GetmCoreTm::abortLanes(Warp &warp, LaneMask lanes, AbortReason reason,
+                       Addr addr)
+{
+    lanes &= ~warp.abortedMask;
+    core.abortTxLanes(warp, lanes, reason, addr);
+    // If the abort fired the commit point, the table is already empty.
+    IntraWarpCd &iwcd = slots[warp.slot].iwcd;
+    for (; lanes; lanes &= lanes - 1)
+        iwcd.dropLane(static_cast<LaneId>(std::countr_zero(lanes)));
 }
 
 void
@@ -26,6 +41,7 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
                      const LaneVals &vals, LaneMask lanes, std::uint8_t rd)
 {
     (void)rd;
+    SlotState &st = slots[warp.slot];
     LaneMask intra_aborts = 0;
     LaneMask remote = 0;
     Addr intra_addr = invalidAddr;
@@ -38,7 +54,7 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
         // The aborting lane's own claims are released immediately so a
         // surviving lane always exists (otherwise two lanes with
         // symmetric access patterns would abort each other forever).
-        if (warp.iwcd.checkAndRecord(lane, addr, is_store)) {
+        if (st.iwcd.checkAndRecord(lane, addr, is_store)) {
             intra_aborts |= 1u << lane;
             if (intra_addr == invalidAddr)
                 intra_addr = core.granuleOf(addr);
@@ -47,7 +63,7 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
                                    core.granuleOf(addr),
                                    core.addressMap().partitionOf(addr),
                                    core.now());
-            warp.iwcd.dropLane(lane);
+            st.iwcd.dropLane(lane);
             stIntraWarpAborts.add();
             continue;
         }
@@ -68,8 +84,7 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
     }
 
     if (intra_aborts)
-        core.abortTxLanes(warp, intra_aborts, AbortReason::IntraWarp,
-                          intra_addr);
+        abortLanes(warp, intra_aborts, AbortReason::IntraWarp, intra_addr);
 
     // Group remote accesses by metadata granule; one VU request each.
     LaneMask pending = remote;
@@ -87,7 +102,7 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
         msg.addr = granule;
         msg.wid = warp.gwid;
         msg.warpSlot = warp.slot;
-        msg.ts = warp.warpts;
+        msg.ts = st.warpts;
         msg.ops.reserve(std::popcount(group));
         for (LaneMask rest = group; rest; rest &= rest - 1) {
             const auto lane =
@@ -114,8 +129,9 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
 void
 GetmCoreTm::onResponse(Warp &warp, const MemMsg &msg)
 {
-    if (msg.ts > warp.maxObservedTs)
-        warp.maxObservedTs = msg.ts;
+    SlotState &st = slots[warp.slot];
+    if (msg.ts > st.maxObservedTs)
+        st.maxObservedTs = msg.ts;
 
     LaneMask lanes = 0;
     for (const LaneOp &op : msg.ops)
@@ -132,20 +148,18 @@ GetmCoreTm::onResponse(Warp &warp, const MemMsg &msg)
         } else {
             // The validation unit decided the reason; it rides back in
             // the response.
-            core.abortTxLanes(warp, lanes,
-                              static_cast<AbortReason>(msg.reason),
-                              msg.addr);
+            abortLanes(warp, lanes, static_cast<AbortReason>(msg.reason),
+                       msg.addr);
         }
         core.completeBlockingResponse(warp);
         break;
       case MsgKind::GetmStoreResp:
         if (msg.outcome == GetmOutcome::Success) {
             for (const LaneOp &op : msg.ops)
-                warp.granted[op.lane][msg.addr] += op.aux;
+                st.granted[op.lane][msg.addr] += op.aux;
         } else {
-            core.abortTxLanes(warp, lanes,
-                              static_cast<AbortReason>(msg.reason),
-                              msg.addr);
+            abortLanes(warp, lanes, static_cast<AbortReason>(msg.reason),
+                       msg.addr);
         }
         core.completeTxStoreAck(warp);
         break;
@@ -162,11 +176,12 @@ GetmCoreTm::txCommitPoint(Warp &warp)
     if (txi < 0)
         panic("GETM commit point without a transaction");
     const LaneMask committers = warp.stack[txi].mask;
+    SlotState &st = slots[warp.slot];
 
     DTRACE(Core,
            "[core] commitpoint wid=%u ts=%llu committers=%08x "
            "aborted=%08x",
-           warp.gwid, static_cast<unsigned long long>(warp.warpts),
+           warp.gwid, static_cast<unsigned long long>(st.warpts),
            committers, warp.abortedMask);
 
     // Serialize the write log (committing lanes) and the cleanup log
@@ -194,7 +209,7 @@ GetmCoreTm::txCommitPoint(Warp &warp)
                     // sets the busy offsets releaseWaiters gives the
                     // stalled requests (GetmBehavior pins it).
                     for (const auto &[granule, count] :
-                         warp.granted.forLane(lane))
+                         st.granted.forLane(lane))
                         emit(addr_map.partitionOf(granule),
                              LaneOp{op_lane, granule, 0, count});
                 }
@@ -222,10 +237,12 @@ GetmCoreTm::txCommitPoint(Warp &warp)
     // Eager conflict detection guarantees success: the commit is off the
     // critical path and the warp retires (or retries aborted lanes) now.
     core.retireTxAttempt(warp, committers);
+    st.granted.clearAll();
+    st.iwcd.clear();
     // The retry, or the slot's next transaction, runs logically after
     // every timestamp this attempt observed.
-    warp.warpts = composeTs(tsClock(warp.maxObservedTs) + 1, warp.gwid);
-    warp.maxObservedTs = warp.warpts;
+    st.warpts = composeTs(tsClock(st.maxObservedTs) + 1, warp.gwid);
+    st.maxObservedTs = st.warpts;
 }
 
 bool
@@ -235,8 +252,8 @@ GetmGpuTm::endCycle(Cycle now, WakeRefresh &refresh)
         return false;
     // The event loop skips not-due cores, whose clocks would otherwise
     // lag the rollover's forced aborts.
-    for (auto &core : cores)
-        core->syncClock(now);
+    for (GetmCoreTm *engine : engines)
+        engine->core.syncClock(now);
     // Both transitions change cores (freeze/thaw, forced aborts) and
     // partitions (flush, pipeline stall) outside their tick().
     if (pending ? completeRollover(now) : beginRollover(now))
@@ -257,14 +274,14 @@ GetmGpuTm::beginRollover(Cycle now)
     // Freeze transactional progress and force all in-flight attempts to
     // abort and release their reservations.
     pending = true;
-    for (auto &core : cores) {
-        core->setTxFrozen(true);
-        for (Warp &warp : core->allWarps()) {
+    for (GetmCoreTm *engine : engines) {
+        engine->core.setTxFrozen(true);
+        for (Warp &warp : engine->core.allWarps()) {
             if (!warp.inTx)
                 continue;
             const int txi = warp.transactionIndex();
             if (txi >= 0 && warp.stack[txi].mask)
-                core->abortTxLanes(warp, warp.stack[txi].mask,
+                engine->abortLanes(warp, warp.stack[txi].mask,
                                    AbortReason::Rollover, invalidAddr);
         }
     }
@@ -276,8 +293,8 @@ GetmGpuTm::beginRollover(Cycle now)
 bool
 GetmGpuTm::completeRollover(Cycle now)
 {
-    for (const auto &core : cores)
-        if (!core->quiescent())
+    for (GetmCoreTm *engine : engines)
+        if (!engine->core.quiescent())
             return false;
     for (GetmPartitionUnit *unit : units)
         if (unit->metadata().lockedCount() ||
@@ -286,12 +303,10 @@ GetmGpuTm::completeRollover(Cycle now)
 
     for (GetmPartitionUnit *unit : units)
         unit->flushForRollover(now, penalty);
-    for (auto &core : cores) {
-        for (Warp &warp : core->allWarps()) {
-            warp.warpts = 0;
-            warp.maxObservedTs = 0;
-        }
-        core->setTxFrozen(false);
+    for (GetmCoreTm *engine : engines) {
+        for (GetmCoreTm::SlotState &st : engine->slots)
+            st.warpts = st.maxObservedTs = 0;
+        engine->core.setTxFrozen(false);
     }
     pending = false;
     ++rollovers;

@@ -10,12 +10,18 @@
  * their acks). A transaction reaching its commit point is guaranteed to
  * succeed, so the commit itself is off the critical path: the core
  * transmits the write log and immediately continues (paper Sec. IV).
+ *
+ * The engine owns GETM's per-warp-slot hardware (paper Table V) -- the
+ * warpts, grant and intra-warp conflict tables -- and resets it at the
+ * events it handles, so Warp and SimtCore carry no GETM state.
  */
 
 #ifndef GETM_CORE_GETM_CORE_TM_HH
 #define GETM_CORE_GETM_CORE_TM_HH
 
+#include <array>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,8 +29,84 @@
 #include "core/getm_partition.hh"
 #include "simt/simt_core.hh"
 #include "simt/tm_iface.hh"
+#include "tm/intra_warp_cd.hh"
 
 namespace getm {
+
+/**
+ * GETM granted-reservation table: per-lane maps of granule -> count.
+ *
+ * Lane maps are allocated lazily on first write, so slots whose
+ * transactions never store pay for a pointer array instead of 32 empty
+ * unordered_maps. Once allocated, a lane's map lives for the warp
+ * slot's lifetime — clearAll() empties it in place — so insertion/rehash
+ * history, and therefore iteration order, is identical to the
+ * eagerly-allocated representation it replaced.
+ *
+ * That iteration order is simulated behaviour, not a host detail: the
+ * GETM commit point walks each aborted lane's map to build its cleanup
+ * ops, whose order sets the busy offsets of the waiters the partition
+ * releases. A replacement table must preserve it
+ * (GetmBehavior.CleanupGrantOrderPinned).
+ */
+class LaneGrantTable
+{
+  public:
+    using GrantMap = std::unordered_map<Addr, std::uint32_t>;
+
+    /** Lane map for writing; allocates on first use. */
+    GrantMap &
+    operator[](LaneId lane)
+    {
+        auto &slot = lanes[lane];
+        if (!slot)
+            slot = std::make_unique<GrantMap>();
+        return *slot;
+    }
+
+    /** Lane map for reading; a shared empty map if never written. */
+    const GrantMap &
+    forLane(LaneId lane) const
+    {
+        static const GrantMap empty;
+        return lanes[lane] ? *lanes[lane] : empty;
+    }
+
+    /** Empty every allocated lane map (keeps the allocations). */
+    void
+    clearAll()
+    {
+        for (auto &slot : lanes)
+            if (slot)
+                slot->clear();
+    }
+
+    /**
+     * Checkpoint hook. Lane-map *allocation* is part of the layout
+     * contract in the class comment, so presence is serialized per
+     * lane and maps are materialized (or dropped) to match the
+     * snapshot exactly.
+     */
+    template <class Ar>
+    void
+    ckpt(Ar &ar)
+    {
+        for (auto &slot : lanes) {
+            bool present = slot != nullptr;
+            ar(present);
+            if (!present) {
+                slot.reset();
+                continue;
+            }
+            if (!slot)
+                slot = std::make_unique<GrantMap>();
+            ar(*slot);
+        }
+    }
+
+  private:
+    std::array<std::unique_ptr<GrantMap>, warpSize> lanes;
+};
 
 /** GETM TmCoreProtocol implementation. */
 class GetmCoreTm : public TmCoreProtocol
@@ -32,6 +114,7 @@ class GetmCoreTm : public TmCoreProtocol
   public:
     explicit GetmCoreTm(SimtCore &core_)
         : core(core_),
+          slots(core_.config().maxWarps),
           stIntraWarpAborts(
               core.stats().addCounter("getm_intra_warp_aborts")),
           stStoreReqs(core.stats().addCounter("getm_store_reqs")),
@@ -47,9 +130,36 @@ class GetmCoreTm : public TmCoreProtocol
                   std::uint8_t rd) override;
     void txCommitPoint(Warp &warp) override;
     void onResponse(Warp &warp, const MemMsg &msg) override;
+    void ckptSave(ckpt::Writer &ar) override { ar(slots); }
+    void ckptLoad(ckpt::Reader &ar) override { ar(slots); }
 
   private:
+    /** Rollover aborts every slot's attempt and zeroes every clock. */
+    friend class GetmGpuTm;
+
+    /** One warp slot's GETM hardware. */
+    struct SlotState
+    {
+        LogicalTs warpts = 0; ///< Persists across relaunches, as in hardware.
+        LogicalTs maxObservedTs = 0; ///< Max rts/wts seen this attempt.
+        LaneGrantTable granted;      ///< Granted reservations per lane.
+        IntraWarpCd iwcd;
+
+        template <class Ar>
+        void
+        ckpt(Ar &ar)
+        {
+            ar(warpts, maxObservedTs, granted, iwcd);
+        }
+    };
+
+    /** Abort @p lanes through the core; drop their intra-warp claims. */
+    void abortLanes(Warp &warp, LaneMask lanes, AbortReason reason,
+                    Addr addr);
+
     SimtCore &core;
+    /** Indexed by warp slot. */
+    std::vector<SlotState> slots;
 
     /** txCommitPoint's per-partition commit/cleanup chunks. */
     LogChunks chunks;
@@ -81,10 +191,10 @@ class GetmGpuTm : public TmGpuProtocol
      *                  (~0: never).
      * @param penalty   Validation-pipeline stall of one rollover.
      */
-    GetmGpuTm(const std::vector<std::unique_ptr<SimtCore>> &cores_,
+    GetmGpuTm(std::vector<GetmCoreTm *> engines_,
               std::vector<GetmPartitionUnit *> units_, LogicalTs threshold_,
               Cycle penalty_)
-        : cores(cores_), units(std::move(units_)),
+        : engines(std::move(engines_)), units(std::move(units_)),
           threshold(threshold_), penalty(penalty_)
     {
     }
@@ -104,7 +214,7 @@ class GetmGpuTm : public TmGpuProtocol
     /** Flush, reset and thaw once quiescent; true if it completed. */
     bool completeRollover(Cycle now);
 
-    const std::vector<std::unique_ptr<SimtCore>> &cores;
+    std::vector<GetmCoreTm *> engines; ///< In core order.
     std::vector<GetmPartitionUnit *> units;
     LogicalTs threshold;
     Cycle penalty;

@@ -278,8 +278,12 @@ GpuSystem::wireProtocol()
         part_cfg.meta.useMaxRegisters = cfg.getmUseMaxRegisters;
         part_cfg.stall = cfg.getmStall;
         part_cfg.granule = cfg.getmGranule;
-        for (auto &core : coreArray)
-            core->setProtocol(std::make_unique<GetmCoreTm>(*core));
+        std::vector<GetmCoreTm *> engines;
+        for (auto &core : coreArray) {
+            auto engine = std::make_unique<GetmCoreTm>(*core);
+            engines.push_back(engine.get());
+            core->setProtocol(std::move(engine));
+        }
         std::vector<GetmPartitionUnit *> units;
         for (auto &part : partArray) {
             auto unit = std::make_unique<GetmPartitionUnit>(
@@ -288,7 +292,7 @@ GpuSystem::wireProtocol()
             part->setProtocol(std::move(unit));
         }
         gpuProtocol = std::make_unique<GetmGpuTm>(
-            coreArray, std::move(units), cfg.rolloverThreshold,
+            std::move(engines), std::move(units), cfg.rolloverThreshold,
             cfg.rolloverPenalty);
         break;
       }

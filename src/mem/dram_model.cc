@@ -39,13 +39,4 @@ DramModel::enqueue(Cycle now, Addr addr)
     return start + (row_hit ? cfg.rowHitLatency : cfg.accessLatency);
 }
 
-Cycle
-DramModel::nextFreeCycle() const
-{
-    Cycle best = ~static_cast<Cycle>(0);
-    for (const Bank &bank : banks)
-        best = std::min(best, bank.nextService);
-    return best;
-}
-
 } // namespace getm

@@ -50,9 +50,6 @@ class DramModel
      */
     Cycle enqueue(Cycle now, Addr addr = 0);
 
-    /** Earliest cycle at which a new request could start service. */
-    Cycle nextFreeCycle() const;
-
     StatSet &stats() { return statSet; }
 
     /** Checkpoint hook: bank service clocks + open rows + stats. */

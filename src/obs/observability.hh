@@ -58,15 +58,6 @@ struct ObsReport
         return t;
     }
 
-    std::uint64_t
-    totalStalls() const
-    {
-        std::uint64_t t = 0;
-        for (auto v : stallsByReason)
-            t += v;
-        return t;
-    }
-
     /** Mean stall-queue depth behind a contended address (Fig. 16). */
     double
     meanStallWaiters() const

@@ -55,13 +55,6 @@ class BankWorkload : public Workload
     bool addrInfo(Addr granule, unsigned granule_bytes,
                   std::string &label) const override;
 
-    std::uint64_t numAccounts() const { return accounts; }
-    /** The account holding zipfian popularity rank @p rank. */
-    std::uint64_t accountOfRank(std::uint64_t rank) const
-    {
-        return zipf.scramble(rank);
-    }
-
   private:
     struct Transfer
     {

@@ -62,13 +62,6 @@ class YcsbWorkload : public Workload
     bool addrInfo(Addr granule, unsigned granule_bytes,
                   std::string &label) const override;
 
-    std::uint64_t numKeys() const { return keys; }
-    /** The key holding zipfian popularity rank @p rank. */
-    std::uint64_t keyOfRank(std::uint64_t rank) const
-    {
-        return zipf.scramble(rank);
-    }
-
   private:
     enum OpKind : std::uint32_t { OpRead = 0, OpRmw = 1, OpWrite = 2 };
 

@@ -641,8 +641,6 @@ SimtCore::execTxBegin(Warp &warp, LaneMask active)
     warp.abortedMask = 0;
     for (auto &log : warp.logs)
         log.clear();
-    warp.iwcd.clear();
-    warp.granted.clearAll();
     warp.retriesThisTx = 0;
     warp.commitPointFired = false;
     stTxBegins.add();
@@ -712,9 +710,6 @@ SimtCore::abortTxLanes(Warp &warp, LaneMask lanes, AbortReason reason,
               addr == invalidAddr ? 0 : addrMap.partitionOf(addr), lanes,
               currentCycle);
     warp.abortLanesOnStack(lanes);
-    for (LaneId lane = 0; lane < warpSize; ++lane)
-        if (lanes & (1u << lane))
-            warp.iwcd.dropLane(lane);
     checkAllAbortedCommitPoint(warp);
 }
 
@@ -766,8 +761,6 @@ SimtCore::retireTxAttempt(Warp &warp, LaneMask committed_lanes)
 
     for (auto &log : warp.logs)
         log.clear();
-    warp.iwcd.clear();
-    warp.granted.clearAll();
 
     if (retry_mask) {
         SimtEntry &retry = warp.stack[ri];

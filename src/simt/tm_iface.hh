@@ -4,7 +4,9 @@
  *
  * The core owns generic machinery (scheduling, SIMT stack, coalescing,
  * response plumbing, retirement); a TmCoreProtocol implements the
- * protocol-specific behaviour of transactional accesses and commits.
+ * protocol-specific behaviour of transactional accesses and commits,
+ * and owns the protocol's per-warp-slot state (indexed by Warp::slot),
+ * resetting it at the events it handles; Warp holds none of it.
  * What spans every core and partition -- GETM's timestamp rollover,
  * WarpTM's global commit ids and EL commit micro-phase -- lives in one
  * TmGpuProtocol. The partition side is TmPartitionProtocol

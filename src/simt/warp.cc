@@ -80,14 +80,9 @@ Warp::launch(GlobalWarpId gwid_, std::uint32_t slot_,
     outstandingTxStores = 0;
     stateSince = now;
     inTx = false;
-    // warpts deliberately persists across assignments: it models the
-    // per-slot hardware warpts table (paper Table V).
-    maxObservedTs = warpts;
     abortedMask = 0;
     for (auto &log : logs)
         log.clear();
-    iwcd.clear();
-    granted.clearAll();
     retriesThisTx = 0;
 }
 

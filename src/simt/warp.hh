@@ -3,6 +3,10 @@
  * Warp execution state: registers, the SIMT reconvergence stack (with the
  * Transaction and Retry entry types of Fung et al. [24]), and per-warp
  * transactional bookkeeping shared by all TM protocols.
+ *
+ * A protocol's own per-slot state lives in its core engine, indexed by
+ * Warp::slot: GETM's timestamps, grant table and intra-warp table in
+ * GetmCoreTm, WarpTM's commit sequence in WtmCoreTm.
  */
 
 #ifndef GETM_SIMT_WARP_HH
@@ -10,14 +14,11 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
 #include "isa/instruction.hh"
 #include "tm/backoff.hh"
-#include "tm/intra_warp_cd.hh"
 #include "tm/tx_log.hh"
 
 namespace getm {
@@ -32,87 +33,6 @@ enum class EntryKind : std::uint8_t
 
 /** Sentinel meaning "this entry never reconverges by rpc". */
 constexpr Pc noRpc = 0xffffffffu;
-
-/**
- * GETM granted-reservation table: per-lane maps of granule -> count.
- *
- * Lane maps are allocated lazily on first write, so warps running
- * non-transactional protocols (or transactions that never store) pay
- * for a pointer array instead of 32 empty unordered_maps. Once
- * allocated, a lane's map lives for the warp slot's lifetime —
- * clearAll() empties it in place — so insertion/rehash history, and
- * therefore iteration order, is identical to the eagerly-allocated
- * representation it replaced.
- *
- * That iteration order is simulated behaviour, not a host detail: the
- * GETM commit point walks each aborted lane's map to build its cleanup
- * ops, whose order sets the busy offsets of the waiters the partition
- * releases. A replacement table must preserve it
- * (GetmBehavior.CleanupGrantOrderPinned).
- */
-class LaneGrantTable
-{
-  public:
-    using GrantMap = std::unordered_map<Addr, std::uint32_t>;
-
-    /** Lane map for writing; allocates on first use. */
-    GrantMap &
-    operator[](LaneId lane)
-    {
-        auto &slot = lanes[lane];
-        if (!slot)
-            slot = std::make_unique<GrantMap>();
-        return *slot;
-    }
-
-    /** Lane map for reading; a shared empty map if never written. */
-    const GrantMap &
-    forLane(LaneId lane) const
-    {
-        static const GrantMap empty;
-        return lanes[lane] ? *lanes[lane] : empty;
-    }
-
-    /** Empty every allocated lane map (keeps the allocations). */
-    void
-    clearAll()
-    {
-        for (auto &slot : lanes)
-            if (slot)
-                slot->clear();
-    }
-
-    /**
-     * Checkpoint hook. Lane-map *allocation* is part of the layout
-     * contract in the class comment, so presence is serialized per
-     * lane and maps are materialized (or dropped) to match the
-     * snapshot exactly.
-     */
-    template <class Ar>
-    void
-    ckpt(Ar &ar)
-    {
-        for (auto &slot : lanes) {
-            bool present = slot != nullptr;
-            ar(present);
-            if constexpr (!Ar::saving) {
-                if (!present) {
-                    slot.reset();
-                    continue;
-                }
-                if (!slot)
-                    slot = std::make_unique<GrantMap>();
-            } else {
-                if (!present)
-                    continue;
-            }
-            ar(*slot);
-        }
-    }
-
-  private:
-    std::array<std::unique_ptr<GrantMap>, warpSize> lanes;
-};
 
 /** One SIMT stack entry. */
 struct SimtEntry
@@ -187,14 +107,9 @@ class Warp
 
     // --- transactional state (shared by all protocols) ---------------------
     bool inTx = false;           ///< Between TxBegin and attempt retirement.
-    LogicalTs warpts = 0;        ///< GETM logical time (persists per slot).
-    LogicalTs maxObservedTs = 0; ///< Max rts/wts seen during the attempt.
     LaneMask abortedMask = 0;    ///< Lanes aborted in the current attempt.
     std::array<ThreadTxLog, warpSize> logs;
-    IntraWarpCd iwcd;
     Backoff backoff;
-    /** GETM: granted reservation counts per lane, per metadata granule. */
-    LaneGrantTable granted;
     unsigned retriesThisTx = 0;
     bool commitPointFired = false; ///< Guards duplicate commit-point entry.
 
@@ -251,9 +166,8 @@ class Warp
     {
         ar(gwid, slot, firstTid, validLanes, regs, stack, state,
            wakeCycle, outstanding, outstandingTxStores, pendingReg,
-           stateSince, inTx, warpts, maxObservedTs, abortedMask, logs,
-           iwcd, backoff, granted, retriesThisTx, commitPointFired,
-           txExecCycles, txWaitCycles, commits, aborts);
+           stateSince, inTx, abortedMask, logs, backoff, retriesThisTx,
+           commitPointFired, txExecCycles, txWaitCycles, commits, aborts);
     }
 };
 

@@ -6,6 +6,7 @@
 #include "ckpt/serial.hh"
 #include "common/log.hh"
 #include "obs/tx_events.hh"
+#include "tm/intra_warp_cd.hh"
 
 namespace getm {
 

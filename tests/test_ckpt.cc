@@ -24,6 +24,7 @@
 #include "ckpt/checkpoint.hh"
 #include "ckpt/serial.hh"
 #include "common/sim_error.hh"
+#include "core/getm_core_tm.hh"
 #include "gpu/gpu_system.hh"
 #include "workloads/workload.hh"
 
@@ -296,6 +297,35 @@ TEST(CkptSerial, UnorderedContainersRoundTripInOrder)
     const std::vector<std::pair<std::uint64_t, std::string>>
         restored_order(back.begin(), back.end());
     EXPECT_EQ(restored_order, saved_order);
+}
+
+TEST(CkptSerial, LaneGrantTableRoundTripsPresenceAndOrder)
+{
+    // GETM's commit point walks each aborted lane's grants in map
+    // order, so a restored grant table must keep every lane map's
+    // iteration order and which lanes hold a map at all. Lane 3 grows
+    // through several rehashes, lane 7 holds an emptied map, and lane 0
+    // of the restoring table must lose its stale map.
+    LaneGrantTable table;
+    for (Addr g = 0; g < 40; ++g)
+        table[3][g * 0x1a0 + 0x20] += static_cast<std::uint32_t>(g + 1);
+    table[7][0x40] = 1;
+    table[7].clear();
+    ckpt::Writer w;
+    w(table);
+    const std::string bytes = w.take();
+
+    LaneGrantTable back;
+    back[0][0x80] = 2;
+    ckpt::Reader r(bytes.data(), bytes.size());
+    r(back);
+    EXPECT_EQ(r.remaining(), 0u);
+    using Entries = std::vector<std::pair<Addr, std::uint32_t>>;
+    EXPECT_EQ(Entries(back.forLane(3).begin(), back.forLane(3).end()),
+              Entries(table.forLane(3).begin(), table.forLane(3).end()));
+    ckpt::Writer again;
+    again(back);
+    EXPECT_EQ(again.take(), bytes);
 }
 
 TEST(CkptSerial, EmptyContainersRoundTrip)

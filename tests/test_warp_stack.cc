@@ -116,16 +116,6 @@ TEST(WarpStack, AbortLeavesBaseEntryUntouched)
     EXPECT_EQ(warp.stack[0].mask, 0xffffffffu);
 }
 
-TEST(WarpStack, LaunchPreservesWarptsAcrossAssignments)
-{
-    Warp warp = freshWarp();
-    warp.warpts = 42;
-    warp.launch(6, 0, 32, fullMask, 100);
-    // warpts models the per-slot hardware table; it must survive.
-    EXPECT_EQ(warp.warpts, 42u);
-    EXPECT_EQ(warp.maxObservedTs, 42u);
-}
-
 TEST(WarpStackDeath, RetryIndexRequiresWellFormedStack)
 {
     Warp warp = freshWarp();

@@ -141,6 +141,15 @@ kill_restore(getm_check_inject 46000 5000 3
              --bench HT-H --protocol getm --scale 0.25 --check
              --inject=skip-rts-bump)
 
+# GETM's grant tables: YCSB theta=0.99 is the workload whose cycles
+# move most with the order of the commit point's cleanup walk (a
+# sorted walk moves it by 35%, GetmBehavior.CleanupGrantOrderPinned).
+# The snapshot at cycle 300,000 holds live grants, stall-buffer waiters
+# and intra-warp claims, so the restore must rebuild every lane's grant
+# map in its iteration order and keep each slot's intra-warp table.
+kill_restore(getm_ycsb_skew 310000 50000 0
+             --bench YCSB:theta=0.99 --protocol getm --scale 0.05)
+
 set(cadence_dir "${work_dir}/cadence")
 foreach(cadence 400 800)
     set(run_dir "${cadence_dir}/every${cadence}")

@@ -19,7 +19,8 @@ Rather than render a wrong number, the renderer refuses its input
 when a point a region reads is missing, when any point of a given
 sweep has meta.verified false (a failed verification or simulation),
 or when a point's scale or seed differs from the reference run:
-seed 7 and scale 1.0 (0.25 for Table IV's 216-point sweep).
+seed 7 and scale 1.0 (0.25 for Table IV's 216-point sweep, 0.5 for
+the GETM ablations).
 
 Usage:
     render_experiments.py --check SWEEP.json [SWEEP.json ...]
@@ -59,6 +60,7 @@ SCALE = {
     "fig15-16-stalls": 1.0,
     "fig17-scalability": 1.0,
     "tab04-concurrency": 0.25,
+    "ablation-getm": 0.5,
 }
 PROTOCOLS = "fig10-12-protocols"
 
@@ -226,6 +228,15 @@ def tab04_optima(s):
 
 TABLE_SIZES = [2048, 4096, 8192]
 GRANULES = [16, 32, 64, 128]
+
+# The GETM ablations: the baseline corner of the ablation sweep, and
+# each variant's one change to it.
+ABLATION = "ablation-getm"
+ABLATION_BASE = {"getm_max_registers": 0, "getm_stall_lines": 4,
+                 "getm_granule": 32}
+ABLATION_VARIANTS = [("max-registers", {"getm_max_registers": 1}),
+                     ("no stall buffer", {"getm_stall_lines": 0}),
+                     ("64 B granules", {"getm_granule": 64})]
 
 
 # --- regions ----------------------------------------------------------
@@ -420,6 +431,41 @@ def tab04(s):
     return table(["bench", "best WTM", "best EAPG", "best EL",
                   "best GETM", "aborts/1K WTM", "aborts/1K EAPG",
                   "aborts/1K EL", "aborts/1K GETM"], rows)
+
+
+@region(ABLATION)
+def ablation(s):
+    rows, ratios, more_aborts = [], [], [0] * len(ABLATION_VARIANTS)
+    for bench in BENCHES:
+        base = s.run(ABLATION, bench, GETM, **ABLATION_BASE)
+        row = [bench, f"{base['cycles']:,}",
+               f"{base['aborts_per_1k_commits']:.0f}"]
+        ratios.append([])
+        for i, (_, change) in enumerate(ABLATION_VARIANTS):
+            run = s.run(ABLATION, bench, GETM,
+                        **{**ABLATION_BASE, **change})
+            ratios[-1].append(run["cycles"] / base["cycles"])
+            more_aborts[i] += (run["aborts_per_1k_commits"] >
+                               base["aborts_per_1k_commits"])
+            row += [f3(ratios[-1][-1]),
+                    f"{run['aborts_per_1k_commits']:.0f}"]
+        rows.append(row)
+    columns = list(zip(*ratios))
+    rows.append(["gmean", "", ""] +
+                [cell for c in columns for cell in (f3(gmean(c)), "")])
+    header = ["bench", "baseline cycles", "baseline ab/1K"]
+    for name, _ in ABLATION_VARIANTS:
+        header += [f"{name} ×", f"{name} ab/1K"]
+    text = table(header, rows) + "\n"
+    for (name, _), column, aborts in zip(ABLATION_VARIANTS, columns,
+                                         more_aborts):
+        worst = max(range(len(BENCHES)), key=column.__getitem__)
+        slower = listing([b for b, x in zip(BENCHES, column) if x > 1.05])
+        text += (f"- {name}: {gmean(column):.2f}× the baseline's time "
+                 f"at the gmean, at worst {column[worst]:.2f}× on "
+                 f"{BENCHES[worst]}; over 5% slower on: {slower}; more "
+                 f"aborts/1K on {aborts} of {len(BENCHES)}.\n")
+    return text
 
 
 @region(PROTOCOLS)

@@ -21,7 +21,6 @@ struct Flags
         const char *env = std::getenv("GETM_DEBUG");
         if (!env)
             return;
-        // Back-compat: GETM_TRACE enables the GETM category.
         std::string list(env);
         list += ',';
         std::string token;
@@ -57,10 +56,6 @@ flags()
 bool
 enabled(Category category)
 {
-    // Legacy GETM_TRACE=1 keeps working for the GETM category.
-    static const bool legacy = std::getenv("GETM_TRACE") != nullptr;
-    if (legacy && category == Category::Getm)
-        return true;
     return flags().on[static_cast<unsigned>(category)];
 }
 

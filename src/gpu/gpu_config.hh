@@ -155,8 +155,8 @@ struct GpuConfig
      * Crash-test hook: abandon the run (SIGKILL-style, no cleanup and
      * no final checkpoint) at the first loop iteration at or after
      * this cycle (0 = off). Only reachable through `getm_sim
-     * --ckpt-kill-at`; exists so the kill-resume CI job and the
-     * determinism tests can cut a run at a precise point. Excluded
+     * --ckpt-kill-at`; exists so the checkpoint determinism tests can
+     * cut a run at a precise point. Excluded
      * from provenance.
      */
     Cycle ckptKillAt = 0;

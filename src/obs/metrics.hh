@@ -80,7 +80,7 @@ struct MetricsFailure
     std::string status;  ///< "deadlock", "livelock", "timeout", ...
     std::string kind;    ///< "DEADLOCK", "LIVELOCK", ...
     std::string message; ///< Human-readable one-liner.
-    std::uint64_t attempts = 1; ///< Tries the sweep made (1 + retries).
+    std::uint64_t attempts = 1; ///< Tries made; always 1 (no retries).
     std::string diagnosticJson; ///< Rendered SimDiagnostic, may be "".
 };
 

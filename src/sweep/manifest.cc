@@ -171,15 +171,6 @@ SweepManifest::parse(const std::string &text,
             }
             continue;
         }
-        if (key == "retries") {
-            std::uint64_t value = 0;
-            if (!parseUint(value_text, value) || value > 16) {
-                error = at() + "bad retries (0..16)";
-                return false;
-            }
-            retries = static_cast<unsigned>(value);
-            continue;
-        }
 
         if (findAxis(key)) {
             error = at() + "duplicate axis '" + key + "'";
@@ -288,10 +279,6 @@ SweepManifest::manifestHash() const
     spec += "name=" + sweepName + "\n";
     spec += "config=" + baseConfigPath + "\n";
     spec += "max_cycles=" + jsonNumber(maxCycles) + "\n";
-    // Appended only when set, so pre-existing manifests keep the hash
-    // they had before the key existed.
-    if (retries)
-        spec += "retries=" + std::to_string(retries) + "\n";
     for (const Axis &axis : axes) {
         spec += axis.key + "=";
         for (const std::string &value : axis.values)
@@ -318,7 +305,6 @@ SweepManifest::enumerate(std::vector<SweepPoint> &points,
         SweepPoint point;
         point.config = base;
         point.maxCycles = maxCycles;
-        point.retries = retries;
         std::string id_suffix;
         std::string concurrency_token = "opt";
 

@@ -30,9 +30,6 @@
  *   concurrency   axis: tx warps/core; `opt` = the Table IV optimum
  *                 for each (bench, protocol), 0 = unlimited (def. opt)
  *   max_cycles    per-point simulation safety bound (scalar)
- *   retries       per-point retry budget after a typed simulation
- *                 failure; each retry reseeds deterministically
- *                 (scalar, default 0; see docs/ROBUSTNESS.md)
  *   <config key>  axis: any `gpu/config_file.hh` key (getm_granule,
  *                 cores, llc_latency, ...) with one or more values
  *
@@ -75,9 +72,6 @@ struct SweepPoint
     /** Resolved tx-warp limit (the Table IV optimum already applied). */
     unsigned txWarpLimit = 0;
     std::uint64_t maxCycles = 2'000'000'000ull;
-    /** Retry budget after a typed failure (manifest `retries`). Not
-     *  part of specHash(): it changes scheduling, not the spec. */
-    unsigned retries = 0;
     /** Complete GPU configuration for this point (protocol, seed and
      *  txWarpLimit already folded in). */
     GpuConfig config;
@@ -131,7 +125,6 @@ class SweepManifest
     std::string sweepName;
     std::string baseConfigPath; ///< Already anchored; "" = none.
     std::uint64_t maxCycles = 2'000'000'000ull;
-    unsigned retries = 0;
     std::vector<Axis> axes; ///< Declaration order, including defaults.
 };
 

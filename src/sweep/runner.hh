@@ -1,7 +1,11 @@
 /**
  * @file
  * The sweep runner: executes every point of a manifest on a worker
- * pool and merges the per-point metrics into one sweep document.
+ * pool and merges the per-point metrics into one sweep document. It
+ * does five things: run the points on `jobs` workers, skip finished
+ * points by spec hash, isolate a failed point into a failure
+ * document, stop cleanly on SIGINT/SIGTERM, and write one sorted,
+ * byte-deterministic sweep.json.
  *
  * Each point is one fully isolated in-process simulation (its own
  * GpuSystem, workload, and stats; the library keeps no mutable global
@@ -20,7 +24,11 @@
  * the freshly computed hash and points/<id>.json still validates as
  * JSON. Any change to the point's resolved configuration (manifest
  * edit, new default, different base config) changes the hash and
- * forces a rerun of exactly the affected points.
+ * forces a rerun of exactly the affected points. A failed point
+ * stores a poisoned hash ("failed <hash>"), so it always reruns. A
+ * point cut by a stop stores nothing and reruns from cycle 0: the
+ * longest figure point takes seconds, so no per-point checkpoint is
+ * kept.
  *
  * The merged document embeds every per-point metrics document
  * verbatim under "points", keyed and sorted by point id, so its bytes
@@ -56,30 +64,6 @@ struct SweepOptions
      * point additionally writes points/<id>.trace.json.
      */
     std::uint64_t traceTx = 0;
-
-    /**
-     * Deterministic manifest partitioning (docs/DURABILITY.md): with
-     * shardCount > 0, run only the points whose enumeration index i
-     * satisfies i % shardCount == shardIndex. Enumeration order is a
-     * pure function of the manifest, so the same `--shard i/N` always
-     * names the same points on every host; mergeSweep() reassembles
-     * the byte-identical single-process sweep.json from the shards'
-     * working directories.
-     */
-    unsigned shardIndex = 0;
-    unsigned shardCount = 0; ///< 0 = unsharded.
-
-    /**
-     * Per-point crash-resume: checkpoint each point's machine every N
-     * simulated cycles (0 = off) into DIR/ckpt/<id>. A rerun or a
-     * retry whose snapshot directory holds a completed checkpoint
-     * restores from it instead of re-simulating from cycle 0, and a
-     * point that dies in a typed SimError parks its final snapshot
-     * next to the failure document (points/<id>.final.ckpt). Like
-     * traceTx, excluded from provenance, so spec hashes and every
-     * emitted document are unchanged by the cadence.
-     */
-    std::uint64_t ckptEvery = 0;
 };
 
 /** One point that ended in a typed simulation failure. */
@@ -88,7 +72,6 @@ struct SweepFailure
     std::string id;      ///< Point id.
     std::string status;  ///< "deadlock", "livelock", "timeout", ...
     std::string message; ///< The failure's one-line description.
-    unsigned attempts = 1; ///< Tries made (1 + granted retries).
 };
 
 /** What happened, for reporting and tests. */
@@ -103,10 +86,10 @@ struct SweepOutcome
 
     /**
      * A SIGINT/SIGTERM stop was honoured: in-flight points wound down
-     * at their next cycle boundary (final checkpoints written when
-     * enabled), queued points never started, and no merged document
-     * was produced. Completed per-point results are on disk, so the
-     * identical rerun resumes where the stop landed.
+     * at their next cycle boundary, queued points never started, and
+     * no merged document was produced. Completed per-point results are
+     * on disk, so the identical rerun skips them and reruns the rest
+     * from cycle 0.
      */
     bool interrupted = false;
 };
@@ -121,10 +104,10 @@ inline constexpr const char *sweepSchemaName = "getm-sweep";
  *
  * Simulation pathologies (SimError: deadlock, livelock, cycle limit,
  * wall timeout, bad config) are isolated per point: the point is
- * retried up to the manifest's `retries` budget with a
- * deterministically reseeded workload, and if every attempt fails it
- * is recorded as a failure document (getm-metrics with a "failure"
+ * recorded as a failure document (getm-metrics with a "failure"
  * section) in points/<id>.json while the rest of the sweep continues.
+ * A point runs once: the simulation is deterministic, so a rerun of
+ * a deadlock, livelock or cycle-limit failure repeats it exactly.
  * Failed points store a poisoned state hash, so a resumed sweep
  * always reruns exactly them. Successful points are byte-identical to
  * a failure-free sweep.
@@ -138,23 +121,6 @@ inline constexpr const char *sweepSchemaName = "getm-sweep";
  */
 bool runSweep(const SweepManifest &manifest, const SweepOptions &options,
               SweepOutcome &outcome, std::string &error);
-
-/**
- * Reassemble the merged document of @p manifest from the working
- * directories of completed shard runs (`--merge`): every enumerated
- * point's points/<id>.json is located across @p shard_dirs (searched
- * in order), validated, and spliced with the exact head and ordering
- * runSweep() uses — so the output is byte-identical to the
- * single-process sweep.json. Writes to options.outPath (or
- * options.dir + "/sweep.json").
- *
- * @return false with @p error set when a point's document is missing
- *         from every shard directory or fails validation. Failure
- *         documents are counted in @p outcome like a live run.
- */
-bool mergeSweep(const SweepManifest &manifest, const SweepOptions &options,
-                const std::vector<std::string> &shard_dirs,
-                SweepOutcome &outcome, std::string &error);
 
 } // namespace getm
 

@@ -223,29 +223,6 @@ TEST(SweepManifest, ConcurrencyOptResolvesTheTableIVOptimum)
     EXPECT_EQ(points[1].config.core.txWarpLimit, 2u);
 }
 
-TEST(SweepManifest, ParsesRetriesAndKeepsThemOutOfTheSpecHash)
-{
-    SweepManifest manifest;
-    std::string error;
-    ASSERT_TRUE(manifest.parse("name = r\nbench = ATM\nretries = 2\n",
-                               "", error))
-        << error;
-    std::vector<SweepPoint> points;
-    ASSERT_TRUE(manifest.enumerate(points, error)) << error;
-    ASSERT_EQ(points.size(), 1u);
-    EXPECT_EQ(points[0].retries, 2u);
-
-    // Retries change scheduling, not the point's spec: the hash (and
-    // therefore resume state) must not depend on them.
-    SweepManifest plain;
-    ASSERT_TRUE(plain.parse("name = r\nbench = ATM\n", "", error));
-    std::vector<SweepPoint> base;
-    ASSERT_TRUE(plain.enumerate(base, error));
-    EXPECT_EQ(points[0].specHash(), base[0].specHash());
-    // The manifest hash does change (it describes the whole run).
-    EXPECT_NE(manifest.manifestHash(), plain.manifestHash());
-}
-
 TEST(SweepManifest, RejectsBadInput)
 {
     const std::pair<const char *, const char *> cases[] = {
@@ -257,7 +234,7 @@ TEST(SweepManifest, RejectsBadInput)
         {"name = x\nseed = 3 3\nseed = 4\n", "duplicate axis"},
         {"name = x\nbench\n", "expected 'key = value'"},
         {"name = x\nbench =\n", "empty value"},
-        {"name = x\nretries = 99\n", "bad retries"},
+        {"name = x\nretries = 1\n", "unknown key 'retries'"},
     };
     for (const auto &[text, want] : cases) {
         SweepManifest manifest;
@@ -459,7 +436,6 @@ TEST_F(FaultySweepTest, FailedPointIsIsolatedAndRecorded)
     ASSERT_EQ(outcome.failures.size(), 1u);
     EXPECT_EQ(outcome.failures[0].id, "ATM+GETM+inject=leak-lock");
     EXPECT_EQ(outcome.failures[0].status, "deadlock");
-    EXPECT_EQ(outcome.failures[0].attempts, 1u);
 
     const std::string merged = readAll(options.dir + "/sweep.json");
     std::string json_error;
@@ -467,6 +443,7 @@ TEST_F(FaultySweepTest, FailedPointIsIsolatedAndRecorded)
     EXPECT_NE(merged.find("\"num_failed\":1"), std::string::npos);
     EXPECT_NE(merged.find("\"failure\":"), std::string::npos);
     EXPECT_NE(merged.find("\"status\":\"deadlock\""), std::string::npos);
+    EXPECT_NE(merged.find("\"attempts\":1"), std::string::npos);
     EXPECT_NE(merged.find("\"diagnostic\":"), std::string::npos);
     // The clean point's full document is embedded alongside.
     EXPECT_NE(merged.find("\"ATM+GETM+inject=none\""),
@@ -487,22 +464,6 @@ TEST_F(FaultySweepTest, FailedPointAlwaysRerunsOnResume)
     EXPECT_EQ(outcome.ran, 1u);
     EXPECT_EQ(outcome.failed, 1u);
     EXPECT_EQ(readAll(options.dir + "/sweep.json"), merged);
-}
-
-TEST_F(FaultySweepTest, RetriesAreGrantedAndCounted)
-{
-    SweepManifest retrying;
-    ASSERT_TRUE(retrying.parse(std::string(faultyManifest) +
-                                   "retries = 2\n",
-                               "", error))
-        << error;
-    ASSERT_TRUE(runSweep(retrying, options, outcome, error)) << error;
-    ASSERT_EQ(outcome.failed, 1u);
-    // leak-lock at probability 1 deadlocks every attempt: the original
-    // run plus both reseeded retries.
-    EXPECT_EQ(outcome.failures[0].attempts, 3u);
-    const std::string merged = readAll(options.dir + "/sweep.json");
-    EXPECT_NE(merged.find("\"attempts\":3"), std::string::npos);
 }
 
 TEST_F(FaultySweepTest, SuccessfulPointBytesAreUnaffectedByFailures)

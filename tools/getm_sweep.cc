@@ -18,7 +18,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -46,18 +45,6 @@ usage(const char *argv0)
         "  --trace-tx N     trace every Nth transaction per point and\n"
         "                   write DIR/points/<id>.trace.json; spec\n"
         "                   hashes and sweep.json bytes are unchanged\n"
-        "  --shard I/N      run only the points whose enumeration index\n"
-        "                   is I mod N (deterministic partitioning for\n"
-        "                   multi-process/multi-host sweeps); reassemble\n"
-        "                   with --merge (docs/DURABILITY.md)\n"
-        "  --merge DIR      merge mode (repeatable): reassemble the\n"
-        "                   merged sweep.json from completed shard\n"
-        "                   working directories, byte-identical to the\n"
-        "                   single-process document; no points run\n"
-        "  --checkpoint-every N  snapshot each point's machine every N\n"
-        "                   simulated cycles into DIR/ckpt/<id>; killed\n"
-        "                   or retried points resume from their last\n"
-        "                   checkpoint instead of cycle 0\n"
         "  --list           print the enumerated point ids and exit\n"
         "  --list-benches   list every registered bench with its\n"
         "                   parameters, defaults and ranges\n"
@@ -66,16 +53,16 @@ usage(const char *argv0)
         "more points failed workload verification or the checker; 4 one\n"
         "or more points died in a typed simulation failure; 128+N\n"
         "stopped by signal N (SIGINT/SIGTERM: in-flight points stop at\n"
-        "their next cycle boundary, flush final checkpoints when\n"
-        "enabled, and the identical rerun resumes)\n",
+        "their next cycle boundary; the identical rerun skips finished\n"
+        "points and reruns the rest)\n",
         argv0);
 }
 
 /**
  * Map a completed outcome onto the taxonomy the usage text documents:
  * verification failures exit 3, typed simulation failures exit 4 (the
- * simulation failure wins when both occur -- it is the one a shard
- * orchestrator must triage first).
+ * simulation failure wins when both occur -- it is the one to triage
+ * first).
  */
 int
 sweepStatus(const SweepOutcome &outcome, const std::string &dir)
@@ -96,10 +83,8 @@ sweepStatus(const SweepOutcome &outcome, const std::string &dir)
                      outcome.failed, outcome.failed == 1 ? "" : "s",
                      dir.c_str());
         for (const SweepFailure &f : outcome.failures)
-            std::fprintf(stderr, "  %-10s %s (%u attempt%s): %s\n",
-                         f.status.c_str(), f.id.c_str(), f.attempts,
-                         f.attempts == 1 ? "" : "s",
-                         f.message.c_str());
+            std::fprintf(stderr, "  %-10s %s: %s\n", f.status.c_str(),
+                         f.id.c_str(), f.message.c_str());
         status = exitSimError;
     }
     return status;
@@ -113,7 +98,6 @@ main(int argc, char **argv)
     std::string manifest_path;
     SweepOptions options;
     options.dir.clear();
-    std::vector<std::string> merge_dirs;
     bool list = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -138,20 +122,6 @@ main(int argc, char **argv)
             options.force = true;
         } else if (arg == "--trace-tx") {
             options.traceTx = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--shard") {
-            unsigned index = 0, count = 0;
-            if (std::sscanf(next(), "%u/%u", &index, &count) != 2 ||
-                count == 0 || index >= count) {
-                std::fprintf(stderr,
-                             "--shard wants I/N with 0 <= I < N\n");
-                return 2;
-            }
-            options.shardIndex = index;
-            options.shardCount = count;
-        } else if (arg == "--merge") {
-            merge_dirs.emplace_back(next());
-        } else if (arg == "--checkpoint-every") {
-            options.ckptEvery = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--list") {
             list = true;
         } else if (arg == "--list-benches") {
@@ -209,26 +179,10 @@ main(int argc, char **argv)
                                      : options.outPath;
 
     SweepOutcome outcome;
-    if (!merge_dirs.empty()) {
-        // Merge mode: no simulation; reassemble the byte-identical
-        // merged document from completed shard directories.
-        if (!mergeSweep(manifest, options, merge_dirs, outcome,
-                        error)) {
-            std::fprintf(stderr, "getm-sweep: %s\n", error.c_str());
-            return 1;
-        }
-        std::printf("%s: merged %u points from %zu shard%s -> %s\n",
-                    manifest.name().c_str(), outcome.total,
-                    merge_dirs.size(),
-                    merge_dirs.size() == 1 ? "" : "s",
-                    out_path.c_str());
-        return sweepStatus(outcome, options.dir);
-    }
-
     // Graceful shutdown: SIGINT/SIGTERM set a flag every in-flight
     // point's cycle loop polls at its next cycle boundary; points
-    // wind down cleanly (final checkpoints when enabled), queued
-    // points never start, and the identical rerun resumes.
+    // wind down cleanly, queued points never start, and the identical
+    // rerun resumes.
     std::signal(SIGINT, [](int sig) { requestStop(sig); });
     std::signal(SIGTERM, [](int sig) { requestStop(sig); });
 

@@ -4,7 +4,8 @@
 # validate the merged document with check_metrics.py. A third run with
 # --trace-tx 1 must also produce byte-identical sweep.json (tracing is
 # observe-only and the trace lives in side files) plus one
-# points/<id>.trace.json per point.
+# points/<id>.trace.json per point. The removed sharding, merge and
+# per-point checkpoint flags must be rejected as usage errors (exit 2).
 #
 # Expected variables:
 #   SWEEP_BIN - path to the getm-sweep binary
@@ -20,6 +21,20 @@ set(serial_dir "${OUT_DIR}/sweep_check_serial")
 set(parallel_dir "${OUT_DIR}/sweep_check_parallel")
 set(traced_dir "${OUT_DIR}/sweep_check_traced")
 file(REMOVE_RECURSE "${serial_dir}" "${parallel_dir}" "${traced_dir}")
+
+foreach(flag "--shard;0/2" "--merge;${serial_dir}" "--checkpoint-every;100")
+    execute_process(
+        COMMAND "${SWEEP_BIN}" --manifest "${MANIFEST}"
+                --dir "${serial_dir}" --quiet ${flag}
+        RESULT_VARIABLE flag_status
+        OUTPUT_QUIET ERROR_QUIET)
+    if(NOT flag_status EQUAL 2)
+        message(FATAL_ERROR
+                "getm-sweep ${flag} should be a usage error (exit 2), "
+                "got ${flag_status}")
+    endif()
+endforeach()
+message(STATUS "--shard, --merge and --checkpoint-every are rejected")
 
 foreach(run "serial;1" "parallel;4" "traced;2;--trace-tx;1")
     list(GET run 0 label)

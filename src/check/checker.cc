@@ -24,8 +24,6 @@ parseCheckLevel(const std::string &text, CheckLevel &out)
         out = CheckLevel::Read;
     } else if (text == "serial" || text == "on" || text == "2") {
         out = CheckLevel::Serial;
-    } else if (text == "ref" || text == "3") {
-        out = CheckLevel::Ref;
     } else {
         return false;
     }
@@ -39,7 +37,6 @@ checkLevelName(CheckLevel level)
       case CheckLevel::Off: return "off";
       case CheckLevel::Read: return "read";
       case CheckLevel::Serial: return "serial";
-      case CheckLevel::Ref: return "ref";
     }
     return "?";
 }
@@ -807,23 +804,6 @@ Checker::finish(const BackingStore &store)
                << " diverged from the applied-write shadow";
             addViolation(ViolationKind::FinalStateMismatch, st.addr, 0,
                          st.versions.back().value, actual, os.str());
-        }
-    }
-}
-
-void
-Checker::crossCheckReference(const BackingStore &ref,
-                             const BackingStore &actual)
-{
-    for (const AddrState &st : shadow) {
-        const std::uint32_t want = ref.read(st.addr);
-        const std::uint32_t got = actual.read(st.addr);
-        if (want != got) {
-            std::ostringstream os;
-            os << "final memory at 0x" << std::hex << st.addr << std::dec
-               << " differs from the sequential reference execution";
-            addViolation(ViolationKind::RefMismatch, st.addr, 0, want, got,
-                         os.str());
         }
     }
 }

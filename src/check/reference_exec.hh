@@ -3,17 +3,19 @@
  * Single-threaded reference executor.
  *
  * Runs a Kernel one thread at a time, sequentially, with no timing, no
- * warps, and no SIMT stack -- just plain per-thread control flow. Two
- * consumers:
+ * warps, and no SIMT stack -- just plain per-thread control flow. It is
+ * the reference of two tests, each comparing the simulated GPU's final
+ * memory image with this executor's:
  *
- *  - differential tests: for race-free kernels (each thread touches
- *    disjoint data) the simulated GPU must produce exactly the same
- *    memory image, pinning down the PDOM reconvergence machinery;
- *  - the runtime checker at CheckLevel::Ref: a final-memory oracle for
- *    workloads whose result is order-insensitive (commutative updates).
- *    Order-sensitive kernels legitimately diverge -- the serialization
- *    order the GPU picked need not be thread-id order -- so RefMismatch
- *    is advisory there (see docs/CHECKING.md).
+ *  - tests/test_differential.cc: race-free kernels (each thread touches
+ *    disjoint data), pinning down the PDOM reconvergence machinery;
+ *  - tests/test_check.cc: a kernel of commutative transactional
+ *    updates, whose final image does not depend on the serialization
+ *    order the GPU picked.
+ *
+ * Kernels whose result depends on that order (blind writes, the hash
+ * tables) may legitimately end in a different image, so this is a test
+ * oracle only, never a runtime check.
  */
 
 #ifndef GETM_CHECK_REFERENCE_EXEC_HH

@@ -26,10 +26,9 @@ enum class CheckLevel : std::uint8_t
     Off = 0, ///< No checker constructed; zero overhead.
     Read,    ///< Read validity + commit apply/intent cross-check.
     Serial,  ///< Read + incremental conflict-serializability graph.
-    Ref,     ///< Serial + final-memory diff vs. the reference executor.
 };
 
-/** Parse "off" / "read" / "serial" / "ref" (or 0-3); false if unknown. */
+/** Parse "off" / "read" / "serial" / "on" (or 0-2); false if unknown. */
 bool parseCheckLevel(const std::string &text, CheckLevel &out);
 
 /** Stable lower-case name, accepted back by parseCheckLevel(). */
@@ -56,10 +55,6 @@ enum class ViolationKind : std::uint8_t
     /** End-of-run memory differs from the checker's applied-write
      *  shadow (a write bypassed every instrumented path). */
     FinalStateMismatch,
-    /** Final memory differs from the single-threaded reference
-     *  executor (CheckLevel::Ref only; order-sensitive kernels are
-     *  expected to diverge -- see docs/CHECKING.md). */
-    RefMismatch,
     Count
 };
 
@@ -78,7 +73,6 @@ violationKindName(ViolationKind kind)
       case ViolationKind::LostWrite: return "LOST_WRITE";
       case ViolationKind::FinalStateMismatch:
         return "FINAL_STATE_MISMATCH";
-      case ViolationKind::RefMismatch: return "REF_MISMATCH";
       case ViolationKind::Count: break;
     }
     return "?";

@@ -181,7 +181,8 @@ class GetmCoreTm : public TmCoreProtocol
  * progress freezes and every running attempt aborts. When the cores are
  * quiescent and no reservation or stalled request remains, every
  * partition flushes its metadata and stalls its validation pipeline,
- * every warp slot's warpts restarts at zero, and the cores thaw.
+ * every warp slot's warpts restarts at clock zero (stamped with its
+ * warp's id), and the cores thaw.
  */
 class GetmGpuTm : public TmGpuProtocol
 {

@@ -16,7 +16,9 @@
  *  - the fault cases of CI's check-smoke job, plus skip-rts-bump on
  *    HT-H at scale 0.25, where cycles close across GC passes;
  *  - CC and BH at scale 0.25 under WarpTM-LL and EAPG, which pin the
- *    history their validation windows and broadcasts commit.
+ *    history their validation windows and broadcasts commit;
+ *  - YCSB theta=0.9 under GETM with a rollover at clock 5, where
+ *    retries pending at each rollover must not share a timestamp.
  *
  * Runs use the getm-sim defaults (GTX 480 machine, seed 7, per-bench
  * optimal concurrency). To regenerate the golden after an intended
@@ -50,6 +52,7 @@ struct GoldenCase
     double scale;
     FaultKind fault;
     std::uint64_t gcPeriod;
+    LogicalTs rollover = 0; ///< Rollover threshold; 0 = never.
 };
 
 std::vector<GoldenCase>
@@ -88,6 +91,8 @@ goldenMatrix()
     for (const char *bench : {"CC", "BH"})
         for (ProtocolKind p : {ProtocolKind::WarpTmLL, ProtocolKind::Eapg})
             cases.push_back({bench, p, 0.25, FaultKind::None, 4096});
+    cases.push_back({"YCSB:theta=0.9", ProtocolKind::Getm, 0.05,
+                     FaultKind::None, 4096, 5});
     return cases;
 }
 
@@ -108,6 +113,8 @@ runCase(const GoldenCase &gc)
         cfg.injectFault = static_cast<unsigned>(gc.fault);
         cfg.injectProb = 1.0;
     }
+    if (gc.rollover)
+        cfg.rolloverThreshold = gc.rollover;
     GpuSystem gpu(cfg);
     gpu.checkerPtr()->setGcPeriod(gc.gcPeriod);
     auto workload = makeWorkload(spec, gc.scale, 7);
@@ -117,8 +124,10 @@ runCase(const GoldenCase &gc)
 
     std::ostringstream os;
     os << gc.bench << ' ' << protocolName(gc.protocol) << ' ' << gc.scale
-       << ' ' << faultKindName(gc.fault) << " gc=" << gc.gcPeriod
-       << ": begins=" << r.txBegins << " commits=" << r.txCommits
+       << ' ' << faultKindName(gc.fault) << " gc=" << gc.gcPeriod;
+    if (gc.rollover)
+        os << " rollover=" << gc.rollover;
+    os << ": begins=" << r.txBegins << " commits=" << r.txCommits
        << " aborts=" << r.txAborts << " reads=" << r.readsChecked
        << " writes=" << r.writesApplied << " edges=" << r.graphEdges
        << " gc_runs=" << r.gcRuns << " reclaimed=" << r.nodesReclaimed

@@ -12,7 +12,10 @@ the simulator guarantees:
     consistent (by_reason sums to total);
   * time-series rows are rectangular (one value per probe per sample)
     and sample cycles are strictly increasing, at least one interval
-    apart.
+    apart;
+  * a "check" section (present when the runtime checker found
+    violations) names a real level, `read` or `serial`, only known
+    violation kinds, and a total_violations equal to their sum.
 
 A getm-metrics *failure* document (a "failure" section in place of
 run/stats, written for points that ended in a typed simulation error;
@@ -100,6 +103,12 @@ RUN_KEYS = [
     "xbar_flits", "rollovers", "max_logical_ts", "aborts_per_1k_commits",
 ]
 STATS_KEYS = ["counters", "maxima", "averages", "histograms"]
+
+CHECK_LEVELS = ["read", "serial"]
+VIOLATION_KINDS = [
+    "INCONSISTENT_READ", "SERIALIZABILITY_CYCLE", "CORRUPT_APPLY",
+    "LOST_WRITE", "FINAL_STATE_MISMATCH",
+]
 
 FAILURE_TOP_LEVEL = ["schema", "version", "meta", "config", "failure"]
 FAILURE_KEYS = ["status", "kind", "message", "attempts"]
@@ -194,6 +203,25 @@ TRACE_TX_KEYS = [
     "aborts",
 ]
 TRACE_CYCLE_KEYS = ["exec", "noc", "stall", "validation", "retry"]
+
+
+def check_check_section(check):
+    require(check.get("level") in CHECK_LEVELS,
+            f"check.level is {check.get('level')!r}, want one of "
+            f"{CHECK_LEVELS}")
+    kinds = check.get("violations_by_kind")
+    require(isinstance(kinds, dict) and kinds,
+            "check.violations_by_kind is missing or empty")
+    for kind, count in kinds.items():
+        require(kind in VIOLATION_KINDS,
+                f"check.violations_by_kind names unknown kind {kind!r}")
+        require(isinstance(count, int) and count > 0,
+                f"check.violations_by_kind.{kind} is not a positive "
+                f"integer")
+    total = sum(kinds.values())
+    require(check.get("total_violations") == total,
+            f"check.total_violations is {check.get('total_violations')!r}, "
+            f"violations_by_kind sums to {total}")
 
 
 def check_trace_link(link, label):
@@ -462,6 +490,8 @@ def check_document(doc):
     check_reason_table(doc["stalls_by_reason"], "stalls_by_reason")
     check_hot_addresses(doc["hot_addresses"])
     check_timeseries(doc["timeseries"])
+    if "check" in doc:
+        check_check_section(doc["check"])
     if "tx_trace" in doc:
         check_tx_trace(doc["tx_trace"])
         check_trace_bounds(doc["tx_trace"], doc["run"])

@@ -768,8 +768,6 @@ GpuSystem::run(const Kernel &kernel, std::uint64_t num_threads,
     result.txExecCycles = result.stats.counter("tx_exec_cycles");
     result.txWaitCycles = result.stats.counter("tx_wait_cycles");
     result.xbarFlits = xbarUp.totalFlits() + xbarDown.totalFlits();
-    result.metaAccessCycles = result.stats.mean("access_cycles");
-    result.stallWaitersPerAddr = result.stats.mean("waiters_per_addr");
     // Record the final partial telemetry window before snapshotting.
     observability.cycleSampler().finalize(now);
     result.obs = observability.report(cfg.hotAddrTopN);

@@ -19,8 +19,6 @@ struct RunResult
     Cycle txWaitCycles = 0;        ///< Warp-cycles waiting (throttle,
                                    ///< backoff, commit sequence).
     std::uint64_t xbarFlits = 0;   ///< Up+down crossbar flits (Fig. 12).
-    double metaAccessCycles = 0;   ///< Mean metadata access (Fig. 13).
-    double stallWaitersPerAddr = 0;  ///< Mean queue depth (Fig. 16).
     std::uint64_t rollovers = 0;   ///< GETM timestamp rollovers taken.
     LogicalTs maxLogicalTs = 0;    ///< Highest warpts reached (GETM).
     StatSet stats{"run"};          ///< Everything else, merged.

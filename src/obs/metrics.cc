@@ -139,13 +139,10 @@ emitTimeseries(JsonWriter &w, const SampleSeries &samples)
     w.endObject();
 }
 
-} // namespace
-
-std::string
-metricsToJson(const MetricsMeta &meta, const StatSet &stats,
-              const ObsReport &obs)
+/** Open the document and write its schema, meta and config. */
+void
+emitHead(JsonWriter &w, const MetricsMeta &meta, bool verified)
 {
-    JsonWriter w;
     w.beginObject();
     w.member("schema", metricsSchemaName);
     w.member("version", metricsSchemaVersion);
@@ -156,13 +153,23 @@ metricsToJson(const MetricsMeta &meta, const StatSet &stats,
     w.member("scale", meta.scale);
     w.member("seed", meta.seed);
     w.member("threads", meta.threads);
-    w.member("verified", meta.verified);
+    w.member("verified", verified);
     w.endObject();
 
     w.key("config").beginObject();
     for (const auto &[k, v] : meta.config)
         w.member(k, v);
     w.endObject();
+}
+
+} // namespace
+
+std::string
+metricsToJson(const MetricsMeta &meta, const StatSet &stats,
+              const ObsReport &obs)
+{
+    JsonWriter w;
+    emitHead(w, meta, meta.verified);
 
     w.key("run").beginObject();
     w.member("cycles", meta.cycles);
@@ -222,23 +229,7 @@ std::string
 failureToJson(const MetricsMeta &meta, const MetricsFailure &failure)
 {
     JsonWriter w;
-    w.beginObject();
-    w.member("schema", metricsSchemaName);
-    w.member("version", metricsSchemaVersion);
-
-    w.key("meta").beginObject();
-    w.member("bench", meta.bench);
-    w.member("protocol", meta.protocol);
-    w.member("scale", meta.scale);
-    w.member("seed", meta.seed);
-    w.member("threads", meta.threads);
-    w.member("verified", false);
-    w.endObject();
-
-    w.key("config").beginObject();
-    for (const auto &[k, v] : meta.config)
-        w.member(k, v);
-    w.endObject();
+    emitHead(w, meta, false);
 
     w.key("failure").beginObject();
     w.member("status", failure.status);
@@ -253,10 +244,8 @@ failureToJson(const MetricsMeta &meta, const MetricsFailure &failure)
     return w.take();
 }
 
-namespace {
-
 bool
-writeDocument(const std::string &path, const std::string &doc,
+writeTextFile(const std::string &path, std::string_view content,
               std::string &error)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
@@ -265,29 +254,27 @@ writeDocument(const std::string &path, const std::string &doc,
         return false;
     }
     const bool ok =
-        std::fwrite(doc.data(), 1, doc.size(), f) == doc.size() &&
-        std::fputc('\n', f) != EOF;
+        std::fwrite(content.data(), 1, content.size(), f) == content.size();
     std::fclose(f);
     if (!ok)
         error = "short write to " + path;
     return ok;
 }
 
-} // namespace
-
 bool
 writeMetricsFile(const std::string &path, const MetricsMeta &meta,
                  const StatSet &stats, const ObsReport &obs,
                  std::string &error)
 {
-    return writeDocument(path, metricsToJson(meta, stats, obs), error);
+    return writeTextFile(path, metricsToJson(meta, stats, obs) + "\n",
+                         error);
 }
 
 bool
 writeFailureFile(const std::string &path, const MetricsMeta &meta,
                  const MetricsFailure &failure, std::string &error)
 {
-    return writeDocument(path, failureToJson(meta, failure), error);
+    return writeTextFile(path, failureToJson(meta, failure) + "\n", error);
 }
 
 } // namespace getm

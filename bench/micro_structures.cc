@@ -194,21 +194,26 @@ void
 BM_PartitionOutbound(benchmark::State &state)
 {
     // Steady state of state.range(0) queued responses with ready cycles
-    // up to 200 cycles out, non-monotonic as LLC hits and DRAM misses
-    // interleave: one push and one pop per iteration.
+    // state.range(1) to 200 more cycles out, non-monotonic as LLC hits
+    // and DRAM misses interleave: one push and one pop per iteration.
+    // The 512-deep case is a partition behind the 330-cycle LLC.
     const auto depth = static_cast<std::uint64_t>(state.range(0));
+    const auto delay = static_cast<Cycle>(state.range(1));
     OutboundQueue queue;
     Rng rng(5);
     std::uint64_t n = 0;
     for (; n < depth; ++n)
-        queue.push(laneMessage(n, 8), rng.below(200));
+        queue.push(laneMessage(n, 8), delay + rng.below(200));
     for (auto _ : state) {
         const Cycle now = queue.nextWhen();
         benchmark::DoNotOptimize(queue.pop());
-        queue.push(laneMessage(n++, 8), now + rng.below(200));
+        queue.push(laneMessage(n++, 8), now + delay + rng.below(200));
     }
 }
-BENCHMARK(BM_PartitionOutbound)->Arg(8)->Arg(64);
+BENCHMARK(BM_PartitionOutbound)
+    ->Args({8, 0})
+    ->Args({64, 0})
+    ->Args({512, 331});
 
 /** A partition context that drops what the unit sends. */
 class DropContext : public PartitionContext

@@ -1,6 +1,7 @@
 #include "gpu/mem_partition.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/log.hh"
@@ -10,29 +11,102 @@
 namespace getm {
 
 void
-OutboundQueue::push(MemMsg &&msg, Cycle when)
+OutboundQueue::insert(MemMsg &&msg, Cycle when, std::uint64_t entry_seq)
 {
-    std::uint32_t slot;
-    if (freeSlots.empty()) {
-        slot = static_cast<std::uint32_t>(slots.size());
-        slots.push_back(std::move(msg));
+    if (count == 0) {
+        if (buckets.empty())
+            grow(64);
+        headWhen = maxWhen = when;
     } else {
-        slot = freeSlots.back();
-        freeSlots.pop_back();
-        slots[slot] = std::move(msg);
+        // Keep every queued cycle inside one turn of the wheel, so a
+        // bucket never mixes two cycles.
+        const Cycle lo = std::min(headWhen, when);
+        const Cycle hi = std::max(maxWhen, when);
+        if (hi - lo >= buckets.size())
+            grow(hi - lo + 1);
+        headWhen = lo;
+        maxWhen = hi;
     }
-    keys.push_back(Key{when, seq++, slot});
-    std::push_heap(keys.begin(), keys.end(), Later{});
+
+    std::uint32_t slot = freeHead;
+    if (slot == none) {
+        slot = static_cast<std::uint32_t>(slots.size());
+        slots.emplace_back();
+    } else {
+        freeHead = slots[slot].next;
+    }
+    Slot &entry = slots[slot];
+    entry.msg = std::move(msg);
+    entry.when = when;
+    entry.seq = entry_seq;
+    entry.next = none;
+
+    const std::size_t index = when & mask();
+    Bucket &bucket = buckets[index];
+    if (bucket.tail == none) {
+        bucket.head = slot;
+        occupied[index >> 6] |= std::uint64_t{1} << (index & 63);
+    } else {
+        slots[bucket.tail].next = slot;
+    }
+    bucket.tail = slot;
+    ++count;
 }
 
 MemMsg
 OutboundQueue::pop()
 {
-    std::pop_heap(keys.begin(), keys.end(), Later{});
-    const std::uint32_t slot = keys.back().slot;
-    keys.pop_back();
-    freeSlots.push_back(slot);
-    return std::move(slots[slot]);
+    const std::size_t index = headWhen & mask();
+    Bucket &bucket = buckets[index];
+    const std::uint32_t slot = bucket.head;
+    bucket.head = slots[slot].next;
+    slots[slot].next = freeHead;
+    freeHead = slot;
+    --count;
+
+    if (bucket.head == none) {
+        bucket.tail = none;
+        occupied[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
+        if (count != 0) {
+            // Every queued cycle lies within one turn past the head, so
+            // the next occupied bucket round the wheel names the next
+            // cycle. The last word is revisited for bits before start.
+            const std::size_t start = (index + 1) & mask();
+            const std::size_t words = occupied.size();
+            std::size_t word = start >> 6;
+            std::uint64_t bits =
+                occupied[word] & (~std::uint64_t{0} << (start & 63));
+            for (std::size_t i = 0; bits == 0 && i < words; ++i) {
+                word = word + 1 == words ? 0 : word + 1;
+                bits = occupied[word];
+            }
+            const std::size_t next =
+                (word << 6) +
+                static_cast<std::size_t>(std::countr_zero(bits));
+            headWhen += (next - index) & mask();
+        }
+    }
+    return std::move(slots[slot].msg);
+}
+
+void
+OutboundQueue::grow(Cycle span)
+{
+    std::size_t size = buckets.empty() ? 1 : 2 * buckets.size();
+    while (size < span)
+        size *= 2;
+    std::vector<Bucket> wider(size);
+    std::vector<std::uint64_t> bits((size + 63) / 64, 0);
+    // Each old bucket holds one cycle, so its chain moves whole.
+    for (const Bucket &bucket : buckets) {
+        if (bucket.head == none)
+            continue;
+        const std::size_t index = slots[bucket.head].when & (size - 1);
+        wider[index] = bucket;
+        bits[index >> 6] |= std::uint64_t{1} << (index & 63);
+    }
+    buckets.swap(wider);
+    occupied.swap(bits);
 }
 
 MemPartition::MemPartition(PartitionId id_, const GpuConfig &config,

@@ -22,6 +22,12 @@
  * in-flight count, sends and pops allocate nothing. send() takes the
  * message by rvalue reference and moves it into its slot; popReady()
  * moves it out again.
+ *
+ * The arrival cycle of each inbox's front entry, or ~0 for an empty
+ * inbox, is mirrored in one contiguous headWhen array that send() and
+ * popReady() keep current and a checkpoint load rebuilds. hasReady() is
+ * then one compare, and nextArrival() a min over one small array,
+ * without touching the inbox rings.
  */
 
 #ifndef GETM_NOC_CROSSBAR_HH
@@ -184,7 +190,7 @@ class Crossbar
     Crossbar(std::string name_, unsigned num_src, unsigned num_dst,
              const CrossbarTiming::Config &config)
         : timing(std::move(name_), num_src, num_dst, config),
-          inbox(num_dst)
+          headWhen(num_dst, never), inbox(num_dst)
     {
     }
 
@@ -212,10 +218,10 @@ class Crossbar
                   "delivery at %llu",
                   dst, static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(queue.back().when));
+        if (queue.empty())
+            headWhen[dst] = when;
         queue.push_back(Entry{when, seq++, std::move(msg)});
         ++pending;
-        if (!arrivalDirty && when < cachedArrival)
-            cachedArrival = when;
         return when;
     }
 
@@ -226,19 +232,18 @@ class Crossbar
     bool
     hasReady(unsigned dst, Cycle now) const
     {
-        return !inbox[dst].empty() && inbox[dst].front().when <= now;
+        return headWhen[dst] <= now;
     }
 
     /** Pop the oldest arrived message for @p dst (must be hasReady()). */
     MsgT
     popReady(unsigned dst)
     {
-        MsgT msg = std::move(inbox[dst].front().msg);
-        inbox[dst].pop_front();
+        auto &queue = inbox[dst];
+        MsgT msg = std::move(queue.front().msg);
+        queue.pop_front();
         --pending;
-        // The popped entry may have been the cached minimum; recompute
-        // lazily on the next nextArrival() call.
-        arrivalDirty = true;
+        headWhen[dst] = queue.empty() ? never : queue.front().when;
         return msg;
     }
 
@@ -246,15 +251,10 @@ class Crossbar
     Cycle
     nextArrival() const
     {
-        if (arrivalDirty) {
-            Cycle best = ~static_cast<Cycle>(0);
-            for (const auto &queue : inbox)
-                if (!queue.empty() && queue.front().when < best)
-                    best = queue.front().when;
-            cachedArrival = best;
-            arrivalDirty = false;
-        }
-        return cachedArrival;
+        Cycle best = never;
+        for (const Cycle when : headWhen)
+            best = when < best ? when : best;
+        return best;
     }
 
     /** True if no messages are in flight anywhere. */
@@ -277,8 +277,8 @@ class Crossbar
     /**
      * Checkpoint hook: timing state, send sequence, and every in-flight
      * message (each inbox as a count, then its entries in arrival order,
-     * which is (when, seq) pop order). The in-flight gauge is recomputed
-     * and the arrival cache invalidated on load.
+     * which is (when, seq) pop order). The in-flight gauge and the
+     * head array are rebuilt on load.
      */
     template <class Ar>
     void
@@ -288,9 +288,12 @@ class Crossbar
         ar(seq, inbox);
         if constexpr (!Ar::saving) {
             pending = 0;
-            for (const auto &queue : inbox)
-                pending += queue.size();
-            arrivalDirty = true;
+            headWhen.assign(inbox.size(), never);
+            for (std::size_t dst = 0; dst < inbox.size(); ++dst) {
+                pending += inbox[dst].size();
+                if (!inbox[dst].empty())
+                    headWhen[dst] = inbox[dst].front().when;
+            }
         }
     }
 
@@ -304,13 +307,15 @@ class Crossbar
         template <class Ar> void ckpt(Ar &ar) { ar(when, seq, msg); }
     };
 
+    static constexpr Cycle never = ~static_cast<Cycle>(0);
+
     CrossbarTiming timing;
     SendHook sendHook;
     std::uint64_t seq = 0;
     /** In-flight gauge. */
     std::size_t pending = 0;
-    mutable Cycle cachedArrival = ~static_cast<Cycle>(0);
-    mutable bool arrivalDirty = false;
+    /** Arrival cycle of each inbox's front, or never (file comment). */
+    std::vector<Cycle> headWhen;
     /** Per-destination FIFO, in (when, seq) order (file comment). */
     std::vector<RingFifo<Entry>> inbox;
 };

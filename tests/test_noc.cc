@@ -409,6 +409,64 @@ TEST(Crossbar, InboxWrapsAndGrowsInFlight)
     EXPECT_TRUE(xbar.idle());
 }
 
+TEST(Crossbar, HeadArrayMatchesInboxScan)
+{
+    // A shadow of every inbox (its delivery cycles, in pop order): at
+    // each step hasReady() and nextArrival() must equal a scan of it,
+    // before and after a checkpoint restore swaps the crossbar.
+    Crossbar<int> original("x", 3, 5, config());
+    Crossbar<int> restored("x", 3, 5, config());
+    Crossbar<int> *xbar = &original;
+    std::vector<std::deque<Cycle>> shadow(5);
+    std::uint64_t state = 17;
+    auto next = [&state](unsigned bound) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<unsigned>((state >> 33) % bound);
+    };
+    auto expect_matches_scan = [&](Cycle now) {
+        Cycle earliest = ~static_cast<Cycle>(0);
+        for (unsigned dst = 0; dst < shadow.size(); ++dst) {
+            const bool ready =
+                !shadow[dst].empty() && shadow[dst].front() <= now;
+            EXPECT_EQ(xbar->hasReady(dst, now), ready) << "dst " << dst;
+            if (!shadow[dst].empty())
+                earliest = std::min(earliest, shadow[dst].front());
+        }
+        EXPECT_EQ(xbar->nextArrival(), earliest);
+    };
+
+    Cycle now = 0;
+    for (int step = 0; step < 4000; ++step) {
+        if (step == 2000) {
+            ckpt::Writer w;
+            original.ckpt(w);
+            const std::string bytes = w.take();
+            ckpt::Reader r(bytes.data(), bytes.size());
+            restored.ckpt(r);
+            EXPECT_EQ(r.remaining(), 0u);
+            ASSERT_GT(restored.inFlight(), 0u);
+            xbar = &restored;
+            expect_matches_scan(now);
+        }
+        const unsigned roll = next(8);
+        if (roll < 4) {
+            const unsigned dst = next(5);
+            shadow[dst].push_back(
+                xbar->send(next(3), dst, 1 + next(96), now, int{step}));
+        } else if (roll < 7) {
+            // Drain one destination, or whatever of it has arrived.
+            const unsigned dst = next(5);
+            while (xbar->hasReady(dst, now)) {
+                xbar->popReady(dst);
+                shadow[dst].pop_front();
+            }
+        } else {
+            now += next(6);
+        }
+        expect_matches_scan(now);
+    }
+}
+
 TEST(CrossbarDeath, PortOutOfRange)
 {
     CrossbarTiming xbar("x", 2, 2, config());

@@ -130,14 +130,7 @@ GpuSystem::GpuSystem(const GpuConfig &config)
 
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         coreArray.push_back(std::make_unique<SimtCore>(
-            c, core_cfg, addrMap, store,
-            [this, c](MemMsg &&msg) {
-                const PartitionId part = msg.partition;
-                const unsigned bytes = msg.bytes;
-                xbarUp.send(c, part, bytes, coreArray[c]->now(),
-                            std::move(msg));
-            },
-            events));
+            c, core_cfg, addrMap, store, xbarUp, events));
     }
     for (PartitionId p = 0; p < cfg.numPartitions; ++p) {
         partArray.push_back(std::make_unique<MemPartition>(

@@ -26,6 +26,7 @@
 #include "mem/backing_store.hh"
 #include "mem/cache_model.hh"
 #include "mem/mshr.hh"
+#include "noc/crossbar.hh"
 #include "obs/abort_reason.hh"
 #include "simt/tm_iface.hh"
 #include "simt/warp.hh"
@@ -82,13 +83,14 @@ struct WarpAssignment
 class SimtCore
 {
   public:
-    using SendFn = std::function<void(MemMsg &&)>;
     using WorkFn = std::function<bool(WarpAssignment &)>;
 
     /** @p events is the instrument hub (obs/tx_events.hh) the core and
-     *  its protocol engine report into; it must outlive the core. */
+     *  its protocol engine report into; it must outlive the core, as
+     *  must @p up, the crossbar the core sends its requests on. */
     SimtCore(CoreId id, const CoreConfig &config, const AddressMap &map,
-             BackingStore &store, SendFn send_up, const TxEvents &events);
+             BackingStore &store, Crossbar<MemMsg> &up,
+             const TxEvents &events);
 
     /** Install the protocol engine (may be null for the lock baseline). */
     void setProtocol(std::unique_ptr<TmCoreProtocol> engine);
@@ -278,7 +280,7 @@ class SimtCore
     CoreConfig cfg;
     const AddressMap &addrMap;
     BackingStore &store;
-    SendFn sendUp;
+    Crossbar<MemMsg> &xbarUp;
     std::unique_ptr<TmCoreProtocol> protocol;
 
     const Kernel *kernel = nullptr;

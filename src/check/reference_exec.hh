@@ -45,15 +45,22 @@ referenceRun(const Kernel &kernel, std::uint64_t n_threads,
             };
             const std::uint64_t ua =
                 static_cast<std::uint64_t>(regs[inst.ra]);
+            // Add, Sub and Mul wrap modulo 2^64, as SimtCore's do.
+            auto wrap = [](std::uint64_t value) {
+                return static_cast<std::int64_t>(value);
+            };
             switch (inst.op) {
               case Opcode::Add:
-                regs[inst.rd] = regs[inst.ra] + operand_b();
+                regs[inst.rd] =
+                    wrap(ua + static_cast<std::uint64_t>(operand_b()));
                 break;
               case Opcode::Sub:
-                regs[inst.rd] = regs[inst.ra] - operand_b();
+                regs[inst.rd] =
+                    wrap(ua - static_cast<std::uint64_t>(operand_b()));
                 break;
               case Opcode::Mul:
-                regs[inst.rd] = regs[inst.ra] * operand_b();
+                regs[inst.rd] =
+                    wrap(ua * static_cast<std::uint64_t>(operand_b()));
                 break;
               case Opcode::DivU: {
                 const auto ub =

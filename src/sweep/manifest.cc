@@ -271,7 +271,27 @@ SweepManifest::load(const std::string &path, std::string &error)
     const auto slash = path.find_last_of('/');
     const std::string dir =
         slash == std::string::npos ? "" : path.substr(0, slash);
-    return parse(buffer.str(), dir, error);
+    if (!parse(buffer.str(), dir, error))
+        return false;
+    if (baseConfigPath.empty())
+        return true;
+
+    // The seed axis sets every point's seed, so a seed in the base
+    // config would be ignored. Loaded over two different seeds, a file
+    // that sets one ends both loads on the same value.
+    GpuConfig zero = GpuConfig::gtx480(), one = zero;
+    zero.seed = 0;
+    one.seed = 1;
+    if (!loadConfigFile(baseConfigPath, zero, error) ||
+        !loadConfigFile(baseConfigPath, one, error))
+        return false;
+    if (zero.seed == one.seed) {
+        error = "config " + baseConfig + " sets 'seed', which the "
+                "manifest's seed axis overrides; list the seeds as "
+                "'seed = ...' in the manifest";
+        return false;
+    }
+    return true;
 }
 
 std::uint64_t

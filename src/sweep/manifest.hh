@@ -94,7 +94,11 @@ class SweepManifest
     bool parse(const std::string &text, const std::string &manifest_dir,
                std::string &error);
 
-    /** Load @p path and parse it. */
+    /**
+     * Load @p path and parse it, then load its base config: false with
+     * @p error set if that fails or sets `seed` (the seed axis sets
+     * every point's seed).
+     */
     bool load(const std::string &path, std::string &error);
 
     /**

@@ -45,7 +45,8 @@ usage(const char *argv0)
         "                      (see --list-benches)\n"
         "  --protocol NAME     getm | warptm | warptm-el | eapg | fglock\n"
         "  --scale F           workload scale (default 0.25; 1.0 = paper)\n"
-        "  --seed N            workload seed (default 7)\n"
+        "  --seed N            workload seed (default: a --config\n"
+        "                      file's seed, else 7)\n"
         "  --concurrency N     tx warps/core (default: Table IV optimum;\n"
         "                      0 = unlimited)\n"
         "  --cores N           SIMT cores (default 15)\n"
@@ -135,6 +136,9 @@ main(int argc, char **argv)
     point.protocol = ProtocolKind::Getm;
     point.config = GpuConfig::gtx480();
     GpuConfig &cfg = point.config;
+    // A --config file's seed is the point's seed; --seed overrides it.
+    cfg.seed = point.seed;
+    bool seed_set = false;
     std::optional<unsigned> concurrency;
     bool dump_stats = false, disasm = false, area = false;
     bool json = false;
@@ -168,6 +172,7 @@ main(int argc, char **argv)
             point.scale = std::atof(next());
         } else if (arg == "--seed") {
             point.seed = std::strtoull(next(), nullptr, 10);
+            seed_set = true;
         } else if (arg == "--concurrency") {
             const unsigned long value = std::strtoul(next(), nullptr, 10);
             concurrency = value == 0 ? 0xffffffffu
@@ -283,6 +288,8 @@ main(int argc, char **argv)
     }
 
     cfg.protocol = point.protocol;
+    if (!seed_set)
+        point.seed = cfg.seed;
     cfg.seed = point.seed;
     cfg.core.txWarpLimit = concurrency ? *concurrency
                                        : optimalConcurrency(point.bench,

@@ -13,7 +13,9 @@
 # The script also asserts that the removed `ref` check level is a bad
 # level everywhere: getm-sim --check=ref and a config file with
 # `check = ref` exit 2, and a manifest with `check = ref` fails to
-# parse (exit 2).
+# parse (exit 2). Last, a config file's `seed = 9` runs getm-sim as
+# --seed 9 does (a --seed flag wins), and a sweep whose base config
+# sets `seed` exits 2.
 #
 # Expected variables:
 #   SIM_BIN   - path to the getm-sim binary
@@ -127,6 +129,47 @@ if(NOT status EQUAL 2 OR NOT sweep_stderr MATCHES "check")
     message(FATAL_ERROR "getm-sweep with a `check = ref` manifest exited "
                         "${status}, want 2 and a parse error naming "
                         "check:\n${sweep_stderr}")
+endif()
+
+# A config file's seed: getm-sim takes it as the point's seed unless
+# --seed is given, and getm-sweep rejects a base config that sets one,
+# since its seed axis sets every point's seed.
+file(WRITE "${work_dir}/seed9.cfg" "seed = 9\n")
+function(sim_json out)
+    execute_process(
+        COMMAND "${SIM_BIN}" --bench ATM --protocol getm --scale 0.02
+                --json ${ARGN}
+        WORKING_DIRECTORY "${work_dir}"
+        RESULT_VARIABLE status OUTPUT_VARIABLE json ERROR_QUIET)
+    if(NOT status EQUAL 0)
+        message(FATAL_ERROR "getm-sim ${ARGN} exited ${status}")
+    endif()
+    set(${out} "${json}" PARENT_SCOPE)
+endfunction()
+sim_json(seed7)
+sim_json(seed9 --seed 9)
+sim_json(config9 --config seed9.cfg)
+sim_json(flag7 --seed 7 --config seed9.cfg)
+if(seed7 STREQUAL seed9)
+    message(FATAL_ERROR "seeds 7 and 9 gave the same run:\n${seed7}")
+endif()
+if(NOT config9 STREQUAL seed9)
+    message(FATAL_ERROR "a config's `seed = 9` is not --seed 9:\n"
+                        "${config9}${seed9}")
+endif()
+if(NOT flag7 STREQUAL seed7)
+    message(FATAL_ERROR "--seed 7 did not override the config's seed:\n"
+                        "${flag7}${seed7}")
+endif()
+file(WRITE "${work_dir}/seed.sweep" "name = seed\nconfig = seed9.cfg\n")
+execute_process(COMMAND "${SWEEP_BIN}" --manifest "${work_dir}/seed.sweep"
+                        --dir "${work_dir}/seed" --quiet
+                RESULT_VARIABLE status OUTPUT_QUIET
+                ERROR_VARIABLE sweep_stderr)
+if(NOT status EQUAL 2 OR NOT sweep_stderr MATCHES "seed axis")
+    message(FATAL_ERROR "getm-sweep with a base config that sets seed "
+                        "exited ${status}, want 2 and an error naming the "
+                        "seed axis:\n${sweep_stderr}")
 endif()
 
 message(STATUS "getm-sim and getm-sweep wrote identical documents")

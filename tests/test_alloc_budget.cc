@@ -5,7 +5,7 @@
  * FGLock, GETM, WarpTM-LL and EAPG at scale 0.05.
  *
  * Messages move between cores and partitions without touching the heap
- * once the op-buffer free lists, crossbar rings and outbound heaps have
+ * once the op-buffer free lists, crossbar rings and outbound wheels have
  * grown to their working size. What remains is per-run setup and the
  * warps' transaction bookkeeping: redo-log growth everywhere, plus one
  * hash node per granted granule under GETM. Each bound is about twice

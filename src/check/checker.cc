@@ -7,7 +7,6 @@
 #include "check/checker.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <sstream>
 
@@ -103,45 +102,13 @@ Checker::laneSlot(GlobalWarpId gwid, LaneId lane)
     return slots[key];
 }
 
-std::size_t
-Checker::home(Addr addr) const
-{
-    // Fibonacci hashing, as in IntraWarpCd: the top bits of the product
-    // spread word-aligned, strided addresses evenly.
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(addr) * 0x9e3779b97f4a7c15ull) >> shift);
-}
-
-void
-Checker::reindex(std::size_t capacity)
-{
-    cells.assign(capacity, Cell{});
-    shift = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-    const std::size_t mask = capacity - 1;
-    for (std::uint32_t idx = 0; idx < shadow.size(); ++idx) {
-        std::size_t i = home(shadow[idx].addr);
-        while (cells[i].idx != noIndex)
-            i = (i + 1) & mask;
-        cells[i] = {shadow[idx].addr, idx};
-    }
-}
-
 std::uint32_t
 Checker::touch(Addr addr)
 {
-    if (2 * (shadow.size() + 1) > cells.size())
-        reindex(cells.empty() ? 1024 : 2 * cells.size());
-    const std::size_t mask = cells.size() - 1;
-    for (std::size_t i = home(addr);; i = (i + 1) & mask) {
-        if (cells[i].idx == noIndex) {
-            const auto idx = static_cast<std::uint32_t>(shadow.size());
-            cells[i] = {addr, idx};
-            shadow.push_back({addr, {}, {}});
-            return idx;
-        }
-        if (cells[i].addr == addr)
-            return cells[i].idx;
-    }
+    const std::uint32_t idx = shadowIndex.insert(addr, shadow);
+    if (idx == shadow.size())
+        shadow.push_back({addr, {}, {}});
+    return idx;
 }
 
 void
@@ -744,11 +711,7 @@ Checker::condenseGraph()
 void
 Checker::rebuildDerived()
 {
-    cells.clear();
-    std::size_t capacity = 1024;
-    while (capacity < 2 * (shadow.size() + 1))
-        capacity *= 2;
-    reindex(capacity);
+    shadowIndex.assign(shadow);
 
     grown.clear();
     refs.assign(txCounter + 1, 0);

@@ -38,7 +38,7 @@
  * Storage is flat and dense, so no result depends on a hash order:
  *
  *  - the shadow is a vector of per-address states in first-touch
- *    order behind an open-addressed Addr -> index table;
+ *    order behind an AddrIndex (common/addr_index.hh);
  *  - lane slots live in a vector indexed by slotKey(gwid, lane);
  *  - graph nodes live in a reused pool reached through a vector
  *    indexed by tx id (txCounter issues ids densely); adjacency lists
@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "check/violation.hh"
+#include "common/addr_index.hh"
 #include "common/types.hh"
 #include "mem/backing_store.hh"
 #include "tm/tx_log.hh"
@@ -255,9 +256,6 @@ class Checker
     /** Index of @p addr's shadow state, appending an empty one on
      *  first touch. */
     std::uint32_t touch(Addr addr);
-    std::size_t home(Addr addr) const;
-    /** Size the address table to @p capacity cells and re-insert. */
-    void reindex(std::size_t capacity);
 
     /** Append a version; wires WW + pending RW edges to the writer. */
     void installVersion(Addr addr, std::uint64_t writer,
@@ -314,17 +312,10 @@ class Checker
     std::uint64_t gcPeriod = 4096;
     std::uint64_t commitsSinceGc = 0;
 
-    // Shadow history: states in first-touch order, an open-addressed
-    // Addr -> index table (power-of-two cells, linear probing, <= 50%
-    // load), and the addresses holding more than one version.
-    struct Cell
-    {
-        Addr addr = 0;
-        std::uint32_t idx = noIndex; ///< noIndex marks an empty cell.
-    };
+    // Shadow history: states in first-touch order, the Addr -> state
+    // index, and the addresses holding more than one version.
     std::vector<AddrState> shadow;
-    std::vector<Cell> cells;
-    unsigned shift = 64;
+    AddrIndex shadowIndex;
     std::vector<std::uint32_t> grown;
 
     std::vector<LaneSlot> slots; ///< By slotKey(gwid, lane).

@@ -1,23 +1,6 @@
 #include "tm/intra_warp_cd.hh"
 
-#include <bit>
-
 namespace getm {
-
-void
-IntraWarpCd::reindex(std::size_t capacity)
-{
-    cells.assign(capacity, emptySlot);
-    shift = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-    const std::size_t mask = capacity - 1;
-    for (std::size_t s = 0; s < entries.size(); ++s) {
-        std::size_t i = home(entries[s].addr);
-        while (cells[i] != emptySlot)
-            i = (i + 1) & mask;
-        cells[i] = static_cast<std::uint32_t>(s);
-        entries[s].cell = static_cast<std::uint32_t>(i);
-    }
-}
 
 LaneMask
 IntraWarpCd::resolveAtCommit(const ThreadTxLog *logs, unsigned warp_size,

@@ -13,10 +13,9 @@
  *    losers retry in a later attempt).
  *
  * Host representation: the owner masks live in a dense entry vector in
- * first-touch order, with an open-addressed addr→entry index beside it
- * (power-of-two capacity, linear probing, ≤ 50% load — the idiom of
- * ThreadTxLog's index). clear() resets only the index cells in use, so a
- * table that once grew large stays cheap to reuse.
+ * first-touch order, with an AddrIndex (common/addr_index.hh) from
+ * address to entry beside it. clear() costs O(entries) however large
+ * the table once grew, as it runs at every TxBegin and retry.
  */
 
 #ifndef GETM_TM_INTRA_WARP_CD_HH
@@ -25,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/addr_index.hh"
 #include "common/types.hh"
 #include "tm/tx_log.hh"
 
@@ -75,8 +75,7 @@ class IntraWarpCd
     void
     clear()
     {
-        for (const Entry &entry : entries)
-            cells[entry.cell] = emptySlot;
+        index.clear(entries);
         entries.clear();
     }
 
@@ -100,12 +99,8 @@ class IntraWarpCd
     ckpt(Ar &ar)
     {
         ar(entries);
-        if constexpr (!Ar::saving) {
-            std::size_t capacity = minCells;
-            while (capacity < 2 * (entries.size() + 1))
-                capacity *= 2;
-            reindex(capacity);
-        }
+        if constexpr (!Ar::saving)
+            index.assign(entries);
     }
 
   private:
@@ -121,64 +116,30 @@ class IntraWarpCd
     {
         Addr addr = 0;
         Owners owners;
-        std::uint32_t cell = 0; ///< Index cell pointing here.
 
         template <class Ar> void ckpt(Ar &ar) { ar(addr, owners); }
     };
-
-    static constexpr std::uint32_t emptySlot = ~static_cast<std::uint32_t>(0);
-    static constexpr std::size_t minCells = 64;
-
-    std::size_t
-    home(Addr addr) const
-    {
-        // Fibonacci hashing: the top bits of the product spread the
-        // word-aligned, often strided addresses evenly.
-        return static_cast<std::size_t>(
-            (static_cast<std::uint64_t>(addr) * 0x9e3779b97f4a7c15ull) >>
-            shift);
-    }
 
     /** The owners of @p addr, or nullptr if the word is untouched. */
     const Owners *
     find(Addr addr) const
     {
-        if (cells.empty())
-            return nullptr;
-        const std::size_t mask = cells.size() - 1;
-        for (std::size_t i = home(addr);; i = (i + 1) & mask) {
-            if (cells[i] == emptySlot)
-                return nullptr;
-            if (entries[cells[i]].addr == addr)
-                return &entries[cells[i]].owners;
-        }
+        const std::uint32_t slot = index.find(addr, entries);
+        return slot == AddrIndex::none ? nullptr : &entries[slot].owners;
     }
 
     /** The owners of @p addr, inserting an empty record if needed. */
     Owners &
     claim(Addr addr)
     {
-        if (2 * (entries.size() + 1) > cells.size())
-            reindex(cells.empty() ? minCells : 2 * cells.size());
-        const std::size_t mask = cells.size() - 1;
-        for (std::size_t i = home(addr);; i = (i + 1) & mask) {
-            if (cells[i] == emptySlot) {
-                cells[i] = static_cast<std::uint32_t>(entries.size());
-                entries.push_back({addr, {}, static_cast<std::uint32_t>(i)});
-                return entries.back().owners;
-            }
-            if (entries[cells[i]].addr == addr)
-                return entries[cells[i]].owners;
-        }
+        const std::uint32_t slot = index.insert(addr, entries);
+        if (slot == entries.size())
+            entries.push_back({addr, {}});
+        return entries[slot].owners;
     }
 
-    /** Size the index to @p capacity cells and re-insert every entry. */
-    void reindex(std::size_t capacity);
-
     std::vector<Entry> entries;
-    /** Open-addressed index: entry slot per cell, or emptySlot. */
-    std::vector<std::uint32_t> cells;
-    unsigned shift = 64;
+    AddrIndex index;
 };
 
 } // namespace getm

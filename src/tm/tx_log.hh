@@ -9,9 +9,10 @@
  * resident (a one-cycle append), which both the paper's proposals share,
  * so it cancels out of all comparisons.
  *
- * Lookups are O(1): each log carries a small open-addressed addr→slot
- * index that engages once the log outgrows a handful of entries (below
- * that, a linear scan is faster than hashing). The entry vectors stay
+ * Lookups are O(1): each log carries an AddrIndex (common/addr_index.hh)
+ * from address to slot that engages once the log outgrows a handful of
+ * entries (below that, a linear scan is faster than hashing); clear()
+ * keeps its capacity for the next attempt. The entry vectors stay
  * the single source of truth and keep strict append order -- commit
  * replays and validation both depend on it -- the index is purely an
  * accelerator.
@@ -24,6 +25,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/addr_index.hh"
 #include "common/types.hh"
 
 namespace getm {
@@ -51,24 +53,21 @@ class ThreadTxLog
     void
     addRead(Addr addr, std::uint32_t value)
     {
-        if (lookup(reads, readIndex, addr) != npos)
-            return;
-        reads.push_back({addr, value, 1});
-        noteAppend(reads, readIndex);
+        if (claim(reads, readIndex, addr) == reads.size())
+            reads.push_back({addr, value, 1});
     }
 
     /** Record a write; repeated writes coalesce and bump the count. */
     void
     addWrite(Addr addr, std::uint32_t value)
     {
-        const std::size_t slot = lookup(writes, writeIndex, addr);
-        if (slot != npos) {
-            writes[slot].value = value;
-            ++writes[slot].count;
+        const std::size_t slot = claim(writes, writeIndex, addr);
+        if (slot == writes.size()) {
+            writes.push_back({addr, value, 1});
             return;
         }
-        writes.push_back({addr, value, 1});
-        noteAppend(writes, writeIndex);
+        writes[slot].value = value;
+        ++writes[slot].count;
     }
 
     /** Read-own-write lookup. */
@@ -84,10 +83,10 @@ class ThreadTxLog
     void
     clear()
     {
+        readIndex.clear(reads);
+        writeIndex.clear(writes);
         reads.clear();
         writes.clear();
-        readIndex.clear();
-        writeIndex.clear();
     }
 
     const std::vector<LogEntry> &readLog() const { return reads; }
@@ -103,112 +102,52 @@ class ThreadTxLog
     void
     ckpt(Ar &ar)
     {
+        if constexpr (!Ar::saving)
+            clear();
         ar(reads, writes);
         if constexpr (!Ar::saving) {
-            readIndex.clear();
-            writeIndex.clear();
             if (reads.size() > linearCutoff)
-                readIndex.rebuild(reads);
+                readIndex.assign(reads);
             if (writes.size() > linearCutoff)
-                writeIndex.rebuild(writes);
+                writeIndex.assign(writes);
         }
     }
 
   private:
-    static constexpr std::size_t npos = ~static_cast<std::size_t>(0);
+    static constexpr std::size_t npos = AddrIndex::none;
     /** Below this many entries a linear scan beats hashing. */
     static constexpr std::size_t linearCutoff = 8;
-
-    struct Cell
-    {
-        Addr addr = 0;
-        std::size_t slot = npos; ///< npos marks an empty cell.
-    };
-
-    /** Open-addressed addr → entry-slot map (power-of-two capacity,
-     *  linear probing, ≤ 50% load). Empty until first engaged. */
-    struct AddrIndex
-    {
-        std::vector<Cell> cells;
-        std::size_t used = 0;
-
-        static std::size_t
-        hash(Addr addr)
-        {
-            const std::uint64_t x =
-                static_cast<std::uint64_t>(addr) * 0x9e3779b97f4a7c15ull;
-            return static_cast<std::size_t>((x >> 32) ^ x);
-        }
-
-        std::size_t
-        find(Addr addr) const
-        {
-            const std::size_t mask = cells.size() - 1;
-            for (std::size_t i = hash(addr) & mask;; i = (i + 1) & mask) {
-                if (cells[i].slot == npos)
-                    return npos;
-                if (cells[i].addr == addr)
-                    return cells[i].slot;
-            }
-        }
-
-        void
-        insert(Addr addr, std::size_t slot)
-        {
-            const std::size_t mask = cells.size() - 1;
-            std::size_t i = hash(addr) & mask;
-            while (cells[i].slot != npos)
-                i = (i + 1) & mask;
-            cells[i] = {addr, slot};
-            ++used;
-        }
-
-        void
-        rebuild(const std::vector<LogEntry> &entries)
-        {
-            std::size_t capacity = 4 * linearCutoff;
-            while (capacity < 2 * (entries.size() + 1))
-                capacity *= 2;
-            cells.assign(capacity, Cell{});
-            used = 0;
-            for (std::size_t s = 0; s < entries.size(); ++s)
-                insert(entries[s].addr, s);
-        }
-
-        void
-        clear()
-        {
-            cells.clear();
-            used = 0;
-        }
-    };
 
     static std::size_t
     lookup(const std::vector<LogEntry> &entries, const AddrIndex &index,
            Addr addr)
     {
-        if (!index.cells.empty())
-            return index.find(addr);
+        if (!index.empty())
+            return index.find(addr, entries);
         for (std::size_t i = 0; i < entries.size(); ++i)
             if (entries[i].addr == addr)
                 return i;
         return npos;
     }
 
-    /** Index maintenance for an entry just appended to @p entries. */
-    static void
-    noteAppend(const std::vector<LogEntry> &entries, AddrIndex &index)
+    /**
+     * The slot of @p addr in @p entries, else entries.size(), where the
+     * caller appends it next; indexes the log once the append takes it
+     * past the linear scan.
+     */
+    static std::size_t
+    claim(const std::vector<LogEntry> &entries, AddrIndex &index,
+          Addr addr)
     {
-        if (index.cells.empty()) {
-            if (entries.size() > linearCutoff)
-                index.rebuild(entries);
-            return;
+        if (index.empty()) {
+            const std::size_t slot = lookup(entries, index, addr);
+            if (slot != npos)
+                return slot;
+            if (entries.size() < linearCutoff)
+                return entries.size();
+            index.assign(entries);
         }
-        if (2 * (index.used + 1) > index.cells.size()) {
-            index.rebuild(entries);
-            return;
-        }
-        index.insert(entries.back().addr, entries.size() - 1);
+        return index.insert(addr, entries);
     }
 
     std::vector<LogEntry> reads;

@@ -127,9 +127,29 @@ bool
 WtmPartitionUnit::hazardsWithPending(const MemMsg &slice) const
 {
     for (const LaneOp &op : slice.ops)
-        if (pendingWrites.contains(op.addr))
+        if (pendingIndex.find(op.addr, pendingWrites) != AddrIndex::none)
             return true;
     return false;
+}
+
+void
+WtmPartitionUnit::addPendingWrite(Addr addr)
+{
+    const std::uint32_t slot = pendingIndex.insert(addr, pendingWrites);
+    if (slot == pendingWrites.size())
+        pendingWrites.push_back({addr, 0});
+    ++pendingWrites[slot].count;
+}
+
+void
+WtmPartitionUnit::dropPendingWrite(Addr addr)
+{
+    const std::uint32_t slot = pendingIndex.find(addr, pendingWrites);
+    if (slot == AddrIndex::none || --pendingWrites[slot].count != 0)
+        return;
+    pendingIndex.erase(slot, pendingWrites);
+    pendingWrites[slot] = pendingWrites.back();
+    pendingWrites.pop_back();
 }
 
 WtmPartitionUnit::WindowEntry &
@@ -286,7 +306,7 @@ WtmPartitionUnit::validateSlice(WindowEntry &entry, Cycle now)
         onValidationStart(slice, start);
     for (const LaneOp &op : slice.ops)
         if (op.aux)
-            pendingWrites.add(op.addr);
+            addPendingWrite(op.addr);
     entry.bits = static_cast<std::uint8_t>((entry.bits & ~Queued) | Awaiting);
     ++awaiting;
     if (entry.bits & Decided)
@@ -305,7 +325,7 @@ WtmPartitionUnit::applyDecision(WindowEntry &entry, Cycle now)
     for (const LaneOp &op : slice.ops) {
         if (!op.aux)
             continue;
-        pendingWrites.remove(op.addr);
+        dropPendingWrite(op.addr);
         if (!(pass & (1u << op.lane)))
             continue;
         FaultInjector *fi = ctx.faults();
@@ -383,6 +403,7 @@ WtmPartitionUnit::ckptLoad(ckpt::Reader &ar)
     parked.clear();
     freeParked.clear();
     ready = awaiting = 0;
+    pendingIndex.clear(pendingWrites);
     pendingWrites.clear();
     for (auto &[id, msg] : queued) {
         entryFor(id).msg = park(std::move(msg));
@@ -391,7 +412,7 @@ WtmPartitionUnit::ckptLoad(ckpt::Reader &ar)
     for (auto &[id, msg] : validated) {
         for (const LaneOp &op : msg.ops)
             if (op.aux)
-                pendingWrites.add(op.addr);
+                addPendingWrite(op.addr);
         entryFor(id).msg = park(std::move(msg));
         at(id).bits |= Awaiting;
         ++awaiting;

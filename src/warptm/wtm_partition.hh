@@ -13,6 +13,10 @@
  * two-round-trip validation/commit sequence, other transactions must
  * wait").
  *
+ * The hazard check probes the words written by undecided slices, kept
+ * with their pending-write counts behind an AddrIndex
+ * (common/addr_index.hh), for every word of every slice it admits.
+ *
  * EagerLazy slices (flag set) bypass the ordering machinery: writes are
  * applied on arrival and acked in a single round trip.
  */
@@ -26,8 +30,8 @@
 #include <vector>
 
 #include "core/metadata_table.hh" // RecencyBloom, reused for the TCD
+#include "common/addr_index.hh"
 #include "tm/partition_iface.hh"
-#include "tm/word_counts.hh"
 
 namespace getm {
 
@@ -122,6 +126,10 @@ class WtmPartitionUnit : public TmPartitionProtocol
 
     /** Does @p slice touch any word written by an undecided slice? */
     bool hazardsWithPending(const MemMsg &slice) const;
+    /** Count one more pending write of @p addr. */
+    void addPendingWrite(Addr addr);
+    /** Count one fewer, dropping the word at zero. */
+    void dropPendingWrite(Addr addr);
 
     /** The window entry of @p id, growing the ring to reach it. */
     WindowEntry &entryFor(std::uint64_t id);
@@ -171,11 +179,18 @@ class WtmPartitionUnit : public TmPartitionProtocol
     std::uint64_t firstReady = 1;
     /** Entries that are Awaiting. */
     unsigned awaiting = 0;
+    /** A word written by Awaiting slices, and how many such writes. */
+    struct PendingWrite
+    {
+        Addr addr;
+        std::uint32_t count;
+    };
     /**
-     * Write-set words of Awaiting slices (hazard detection); rebuilt on
-     * restore.
+     * Write-set words of Awaiting slices (hazard detection), indexed by
+     * word; rebuilt on restore.
      */
-    WordCounts pendingWrites;
+    std::vector<PendingWrite> pendingWrites;
+    AddrIndex pendingIndex;
     std::uint64_t nextId = 1;
     Cycle vuFree = 0;
 

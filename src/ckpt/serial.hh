@@ -19,7 +19,7 @@
  * Unordered containers and byte determinism
  * -----------------------------------------
  * The simulator's byte-determinism contract makes the *iteration
- * order* of several std::unordered_map/set instances observable (the
+ * order* of several std::unordered_map instances observable (the
  * cleanup walk over the grant tables GetmCoreTm keeps per warp slot,
  * ...). A restored container must therefore
  * reproduce the original's internal layout exactly, not just its
@@ -49,7 +49,6 @@
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -343,34 +342,6 @@ io(Ar &ar, std::unordered_map<K, V, H, E, Alloc> &value)
             io(ar, entry.first);
             io(ar, entry.second);
             entries.push_back(std::move(entry));
-        }
-        detail::loadUnordered(value, std::move(entries), buckets);
-    }
-}
-
-template <class Ar, class K, class H, class E, class Alloc>
-void
-io(Ar &ar, std::unordered_set<K, H, E, Alloc> &value)
-{
-    if constexpr (Ar::saving) {
-        std::uint64_t buckets = value.bucket_count();
-        std::uint64_t n = value.size();
-        ar.raw(&buckets, sizeof(buckets));
-        ar.raw(&n, sizeof(n));
-        for (const K &key : value) {
-            K k = key;
-            io(ar, k);
-        }
-    } else {
-        std::uint64_t buckets = 0;
-        ar.raw(&buckets, sizeof(buckets));
-        const std::uint64_t n = detail::readCount(ar);
-        std::vector<K> entries;
-        entries.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-            K key{};
-            io(ar, key);
-            entries.push_back(std::move(key));
         }
         detail::loadUnordered(value, std::move(entries), buckets);
     }

@@ -1,4 +1,4 @@
-# Sweep parallel-speedup check driven by ctest: time an 8-point sweep
+# Sweep parallel-speedup check driven by ctest: time a 24-point sweep
 # at --jobs 1 and --jobs 4 and require >= 2.5x wall-clock improvement.
 # The check needs real parallel hardware; on machines with fewer than 4
 # processors it prints the SKIP marker matched by the test's
@@ -6,7 +6,7 @@
 #
 # Expected variables:
 #   SWEEP_BIN - path to the getm-sweep binary
-#   MANIFEST  - path to an 8-point sweep manifest
+#   MANIFEST  - path to a sweep manifest of equal-cost points
 #   OUT_DIR   - writable scratch directory
 
 cmake_host_system_information(RESULT num_cpus

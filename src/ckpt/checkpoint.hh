@@ -40,7 +40,7 @@
 namespace getm::ckpt {
 
 /** Bumped whenever the header or any ckpt() field list changes. */
-inline constexpr std::uint32_t formatVersion = 7;
+inline constexpr std::uint32_t formatVersion = 8;
 
 /** Name of the pointer file inside a checkpoint directory. */
 inline constexpr const char *latestPointerName = "latest.ckpt";

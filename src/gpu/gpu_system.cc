@@ -347,7 +347,7 @@ GpuSystem::progressSample() const
 {
     std::uint64_t total = 0;
     for (const auto &core : coreArray)
-        total += core->instructionsRetired() + core->commitLaneCount();
+        total += core->nonTxInstructions() + core->commitLaneCount();
     return total;
 }
 
@@ -372,8 +372,8 @@ GpuSystem::checkGuards(const Kernel &kernel, Cycle now, Cycle max_cycles)
         } else {
             throw SimError(buildDiagnostic(
                 SimErrorKind::Livelock,
-                "no instruction retired and no transaction committed "
-                "for " +
+                "no instruction retired outside a transaction and no "
+                "transaction lane committed for " +
                     std::to_string(now - guard.lastProgressCycle) +
                     " cycles",
                 now, now - guard.lastProgressCycle));

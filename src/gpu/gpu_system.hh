@@ -51,8 +51,9 @@ class GpuSystem
      * with a diagnostic snapshot instead of killing the process:
      *  - CYCLE_LIMIT when @p max_cycles is exceeded;
      *  - DEADLOCK when no future events exist but the run is not done;
-     *  - LIVELOCK when events keep firing but no instruction retires
-     *    and no transaction lane commits for cfg.watchdogCycles;
+     *  - LIVELOCK when events keep firing but no transaction lane
+     *    commits and no instruction retires outside a transaction for
+     *    cfg.watchdogCycles;
      *  - WALL_TIMEOUT when cfg.timeoutSec of wall clock elapses.
      * The watchdog and timeout only *observe* progress counters at
      * already-visited cycles, so enabling them never changes the
@@ -91,8 +92,10 @@ class GpuSystem
     Cycle runLoop(const Kernel &kernel, Cycle max_cycles);
 
     /**
-     * Monotone forward-progress measure: instructions retired plus tx
-     * lanes committed, summed over every core. The watchdog declares
+     * Monotone forward-progress measure: tx lanes committed plus
+     * instructions retired outside a transaction (a TxBegin once it
+     * starts an attempt), summed over every core. Aborted attempts and
+     * throttled TxBegin re-issues do not count. The watchdog declares
      * livelock when this stops moving for cfg.watchdogCycles.
      */
     std::uint64_t progressSample() const;

@@ -262,6 +262,8 @@ SimtCore::execute(Warp &warp, Cycle now)
     const Instruction inst = kernel->at(top.pc);
     const LaneMask active = top.mask;
     stInstructions.add();
+    if (!warp.inTx && inst.op != Opcode::TxBegin)
+        ++nonTxRetired; // a TxBegin counts once it begins (execTxBegin)
     (void)now;
 
     switch (inst.op) {
@@ -633,6 +635,7 @@ SimtCore::execTxBegin(Warp &warp, LaneMask active)
         stThrottleStalls.add();
         return;
     }
+    ++nonTxRetired;
     ++txActive;
     warp.top().pc++;
     const Pc body = warp.top().pc;

@@ -228,6 +228,14 @@ class SimtCore
     }
 
     /**
+     * Warp instructions retired outside a transaction, a TxBegin
+     * counted only once it starts an attempt: the instruction half of
+     * the livelock watchdog's progress measure. Aborted attempts and
+     * throttled TxBegin re-issues leave it still.
+     */
+    std::uint64_t nonTxInstructions() const { return nonTxRetired; }
+
+    /**
      * Checkpoint hook: all mutable core state, then the protocol
      * engine's own state through its virtual hooks (the kernel, work
      * source, and instrument hub are reconstructed by the owner).
@@ -238,7 +246,7 @@ class SimtCore
     {
         ar(totalThreads, workExhausted, warps, stateOf, wakeOf, l1,
            mshrs, txActive, lastIssued, liveWarps, txFrozen,
-           currentCycle, randomGen, statSet);
+           currentCycle, randomGen, statSet, nonTxRetired);
         if constexpr (!Ar::saving)
             rebuildSlotBits();
         if (protocol) {
@@ -336,6 +344,9 @@ class SimtCore
     Cycle currentCycle = 0;
     Rng randomGen;
     StatSet statSet;
+    /** See nonTxInstructions(); a plain member so that no stats dump
+     *  or metrics document carries it. */
+    std::uint64_t nonTxRetired = 0;
 
     // Pre-registered hot-path stat handles (common/stats.hh): one add
     // per event, no per-event string or map lookup. Declared after

@@ -11,7 +11,9 @@
  * and its waiters park forever. Without a pending rollover that ends
  * in "no future events" (DEADLOCK); with a pending rollover that can
  * never quiesce, the main loop spins and the forward-progress
- * watchdog fires (LIVELOCK).
+ * watchdog fires (LIVELOCK). A second livelock needs no fault: skewed
+ * YCSB under GETM with a rollover at every timestamp, where warps
+ * abort and retry without committing.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "common/sim_error.hh"
 #include "gpu/config_file.hh"
 #include "gpu/gpu_system.hh"
+#include "workloads/registry.hh"
 #include "workloads/workload.hh"
 
 using namespace getm;
@@ -235,6 +238,42 @@ TEST(Livelock, UnquiescableRolloverTripsTheWatchdog)
     EXPECT_GE(diag.sinceProgressCycles, cfg.watchdogCycles);
     EXPECT_NE(diag.message.find("no instruction retired"),
               std::string::npos);
+}
+
+TEST(Livelock, AbortingRetriesTripTheDefaultWatchdog)
+{
+    // `getm-sim --bench YCSB:theta=0.9 --protocol getm --scale 0.05
+    // --rollover 1`: the hot keys' warps abort and retry without end,
+    // and the rest wait in the throttle. Those retried attempts and
+    // throttled TxBegins retire instructions all the time, so a
+    // watchdog that counted every instruction never fired (244 lanes
+    // committed by cycle 104.2M). At the default window it must end
+    // the run as LIVELOCK.
+    WorkloadSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseWorkloadSpec("YCSB:theta=0.9", spec, error)) << error;
+    GpuConfig cfg = GpuConfig::gtx480();
+    cfg.protocol = ProtocolKind::Getm;
+    cfg.seed = 7;
+    cfg.core.txWarpLimit = optimalConcurrency(spec, ProtocolKind::Getm);
+    cfg.rolloverThreshold = 1;
+    ASSERT_EQ(cfg.watchdogCycles, 2'000'000u);
+
+    GpuSystem gpu(cfg);
+    auto workload = makeWorkload(spec, 0.05, cfg.seed);
+    workload->setup(gpu, false);
+    // A blind watchdog lets the run go on to this bound and end as
+    // CYCLE_LIMIT instead.
+    const Cycle max_cycles = 5 * cfg.watchdogCycles;
+    try {
+        gpu.run(workload->kernel(), workload->numThreads(), max_cycles);
+        FAIL() << "the run finished instead of livelocking";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimErrorKind::Livelock) << e.what();
+        const SimDiagnostic &diag = e.diagnostic();
+        EXPECT_GE(diag.sinceProgressCycles, cfg.watchdogCycles);
+        EXPECT_LT(diag.commitLanes, workload->numThreads());
+    }
 }
 
 // --------------------------------------------------------------------------

@@ -82,8 +82,9 @@ usage(const char *argv0)
         "  --max-cycles N      per-run simulation safety bound\n"
         "                      (default 2000000000)\n"
         "  --watchdog-cycles N declare livelock after N visited cycles\n"
-        "                      without an instruction retiring or a tx\n"
-        "                      lane committing (default 2000000; 0 off)\n"
+        "                      without a tx lane committing or an\n"
+        "                      instruction retiring outside a tx\n"
+        "                      (default 2000000; 0 off)\n"
         "  --timeout-sec S     abort the run after S seconds of wall\n"
         "                      clock (default 0 = unlimited)\n"
         "  --checkpoint-every N  write a crash-safe machine snapshot\n"

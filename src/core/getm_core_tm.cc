@@ -87,16 +87,9 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
         abortLanes(warp, intra_aborts, AbortReason::IntraWarp, intra_addr);
 
     // Group remote accesses by metadata granule; one VU request each.
-    LaneMask pending = remote;
-    while (pending) {
-        const LaneId lead = static_cast<LaneId>(std::countr_zero(pending));
-        const Addr granule = core.granuleOf(addrs[lead]);
-        LaneMask group = 0;
-        for (LaneId lane = lead; lane < warpSize; ++lane)
-            if ((pending & (1u << lane)) &&
-                core.granuleOf(addrs[lane]) == granule)
-                group |= 1u << lane;
-        pending &= ~group;
+    const auto granule_of = [this](Addr addr) { return core.granuleOf(addr); };
+    forEachLaneGroup(remote, addrs, granule_of,
+                     [&](Addr granule, LaneMask group) {
         MemMsg msg;
         msg.kind = is_store ? MsgKind::GetmTxStore : MsgKind::GetmTxLoad;
         msg.addr = granule;
@@ -123,7 +116,7 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
             ++warp.outstanding;
             stLoadReqs.add();
         }
-    }
+    });
 }
 
 void

@@ -1,8 +1,11 @@
 #include "gpu/config_file.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "check/fault.hh"
@@ -22,117 +25,168 @@ trim(const std::string &text)
     return text.substr(begin, end - begin + 1);
 }
 
-bool
-applyKey(GpuConfig &cfg, const std::string &key, std::uint64_t value)
-{
-    if (key == "cores")
-        cfg.numCores = static_cast<unsigned>(value);
-    else if (key == "partitions")
-        cfg.numPartitions = static_cast<unsigned>(value);
-    else if (key == "warps_per_core")
-        cfg.core.maxWarps = static_cast<unsigned>(value);
-    else if (key == "tx_warp_limit")
-        cfg.core.txWarpLimit =
-            value == 0 ? 0xffffffffu : static_cast<unsigned>(value);
-    else if (key == "issue_width")
-        cfg.core.issueWidth = static_cast<unsigned>(value);
-    else if (key == "l1_kb")
-        cfg.core.l1Bytes = value * 1024;
-    else if (key == "llc_kb_per_partition")
-        cfg.llcBytesPerPartition = value * 1024;
-    else if (key == "llc_latency")
-        cfg.llcLatency = value;
-    else if (key == "line_bytes")
-        cfg.lineBytes = static_cast<unsigned>(value);
-    else if (key == "xbar_latency")
-        cfg.xbar.latency = value;
-    else if (key == "xbar_flit_bytes")
-        cfg.xbar.flitBytes = static_cast<unsigned>(value);
-    else if (key == "dram_latency")
-        cfg.dram.accessLatency = value;
-    else if (key == "dram_row_hit_latency")
-        cfg.dram.rowHitLatency = value;
-    else if (key == "dram_banks")
-        cfg.dram.numBanks = static_cast<unsigned>(value);
-    else if (key == "getm_granule")
-        cfg.getmGranule = static_cast<unsigned>(value);
-    else if (key == "getm_precise_entries")
-        cfg.getmPreciseEntriesTotal = static_cast<unsigned>(value);
-    else if (key == "getm_bloom_entries")
-        cfg.getmBloomEntriesTotal = static_cast<unsigned>(value);
-    else if (key == "getm_max_registers")
-        cfg.getmUseMaxRegisters = value != 0;
-    else if (key == "getm_stall_lines")
-        cfg.getmStall.lines = static_cast<unsigned>(value);
-    else if (key == "getm_stall_entries")
-        cfg.getmStall.entriesPerLine = static_cast<unsigned>(value);
-    else if (key == "wtm_tcd_entries")
-        cfg.wtm.tcdEntries = static_cast<unsigned>(value);
-    else if (key == "rollover_threshold")
-        cfg.rolloverThreshold =
-            value == 0 ? ~static_cast<LogicalTs>(0) : value;
-    else if (key == "sample_interval")
-        cfg.sampleInterval = value;
-    else if (key == "trace_tx")
-        cfg.traceTx = value;
-    else if (key == "watchdog_cycles")
-        cfg.watchdogCycles = value;
-    else if (key == "hot_addrs")
-        cfg.hotAddrTopN = static_cast<unsigned>(value);
-    else if (key == "seed")
-        cfg.seed = value;
-    else
-        return false;
-    return true;
-}
+// How a key's text becomes its field and, for provenance, back.
 
 /**
- * Keys whose values are words, tried before the numeric parser. The
- * checker/injection/timeout keys are deliberately absent from
- * configProvenance(): enabling validation or a safety net must not
- * change a run's reported configuration or sweep spec hashes
- * (watchdog_cycles and trace_tx, handled by the numeric parser, are
- * excluded for the same reason: both are observe-only).
+ * A whole number (decimal, 0x hex or 0 octal, no sign) times @p unit
+ * (1024 for kilobytes) that fits its field. With @p zeroIsNever, 0
+ * means never (unlimited, disabled): the field's largest value.
  */
-bool
-applyStringKey(GpuConfig &cfg, const std::string &key,
-               const std::string &value_text, bool &handled)
+template <std::uint64_t unit, bool zeroIsNever = false>
+struct Num
 {
-    handled = true;
-    if (key == "check") {
-        CheckLevel level;
-        if (!parseCheckLevel(value_text, level))
+    template <class T>
+    static bool
+    parse(const std::string &text, T &field)
+    {
+        constexpr std::uint64_t max = std::numeric_limits<T>::max();
+        if (text.empty() ||
+            !std::isdigit(static_cast<unsigned char>(text[0])))
             return false;
-        cfg.checkLevel = static_cast<unsigned>(level);
-    } else if (key == "inject") {
-        FaultKind kind;
-        if (!parseFaultKind(value_text, kind))
-            return false;
-        cfg.injectFault = static_cast<unsigned>(kind);
-    } else if (key == "inject_prob") {
         char *end = nullptr;
-        const double prob = std::strtod(value_text.c_str(), &end);
-        if (value_text.empty() || (end && *end != '\0') || prob < 0.0 ||
-            prob > 1.0)
+        errno = 0;
+        const std::uint64_t value = std::strtoull(text.c_str(), &end, 0);
+        if (*end != '\0' || errno == ERANGE || value > max / unit)
             return false;
-        cfg.injectProb = prob;
-    } else if (key == "timeout_sec") {
-        char *end = nullptr;
-        const double secs = std::strtod(value_text.c_str(), &end);
-        if (value_text.empty() || (end && *end != '\0') || secs < 0.0)
-            return false;
-        cfg.timeoutSec = secs;
-    } else {
-        handled = false;
+        field = static_cast<T>(zeroIsNever && !value ? max : value * unit);
+        return true;
     }
-    return true;
+
+    template <class T>
+    static std::string
+    format(T field)
+    {
+        if (zeroIsNever && field == std::numeric_limits<T>::max())
+            return "0";
+        return std::to_string(field / unit);
+    }
+};
+
+using Plain = Num<1>;
+using Kib = Num<1024>;
+using ZeroIsNever = Num<1, true>;
+
+/** A name @p Parse knows (a check level, a fault), stored as its
+ *  number. */
+template <class Enum, bool (*Parse)(const std::string &, Enum &)>
+struct Named
+{
+    static bool
+    parse(const std::string &text, unsigned &field)
+    {
+        Enum value;
+        if (!Parse(text, value))
+            return false;
+        field = static_cast<unsigned>(value);
+        return true;
+    }
+};
+
+/** A non-negative real; validateGpuConfig() bounds it further. */
+struct Real
+{
+    static bool
+    parse(const std::string &text, double &field)
+    {
+        if (text.empty())
+            return false;
+        char *end = nullptr;
+        const double value = std::strtod(text.c_str(), &end);
+        if (*end != '\0' || !(value >= 0.0))
+            return false;
+        field = value;
+        return true;
+    }
+};
+
+/** One config key: its name, how its text sets its field and, for a
+ *  key in the provenance block, how the field prints back. */
+struct Key
+{
+    const char *name;
+    bool (*set)(GpuConfig &, const std::string &);
+    std::string (*get)(const GpuConfig &); ///< nullptr: not provenance.
+};
+
+/**
+ * A key that checks, traces or guards a run without changing its
+ * simulated behaviour. It stays out of configProvenance(), so turning
+ * it on changes neither a run's reported config nor a sweep spec hash.
+ * @p Field is the member path to the field, outermost first.
+ */
+template <class Conv, auto... Field>
+constexpr Key
+setting(const char *name)
+{
+    return {name,
+            [](GpuConfig &cfg, const std::string &text) {
+                return Conv::parse(text, (cfg .* ... .* Field));
+            },
+            nullptr};
 }
+
+/** A key that shapes the simulated machine, listed in provenance. */
+template <class Conv, auto... Field>
+constexpr Key
+key(const char *name)
+{
+    Key k = setting<Conv, Field...>(name);
+    k.get = [](const GpuConfig &cfg) {
+        return Conv::format((cfg .* ... .* Field));
+    };
+    return k;
+}
+
+using C = GpuConfig;
+
+/**
+ * Every config key, each named once. configProvenance() lists the
+ * provenance keys in this order, and sweep spec hashes and the
+ * checkpoint config hash fold that order in.
+ */
+constexpr Key keys[] = {
+    key<Plain, &C::numCores>("cores"),
+    key<Plain, &C::numPartitions>("partitions"),
+    key<Plain, &C::core, &CoreConfig::maxWarps>("warps_per_core"),
+    key<ZeroIsNever, &C::core, &CoreConfig::txWarpLimit>("tx_warp_limit"),
+    key<Plain, &C::core, &CoreConfig::issueWidth>("issue_width"),
+    key<Kib, &C::core, &CoreConfig::l1Bytes>("l1_kb"),
+    key<Kib, &C::llcBytesPerPartition>("llc_kb_per_partition"),
+    key<Plain, &C::llcLatency>("llc_latency"),
+    key<Plain, &C::lineBytes>("line_bytes"),
+    key<Plain, &C::xbar, &CrossbarTiming::Config::latency>("xbar_latency"),
+    key<Plain, &C::xbar, &CrossbarTiming::Config::flitBytes>(
+        "xbar_flit_bytes"),
+    key<Plain, &C::dram, &DramModel::Config::accessLatency>("dram_latency"),
+    key<Plain, &C::dram, &DramModel::Config::rowHitLatency>(
+        "dram_row_hit_latency"),
+    key<Plain, &C::dram, &DramModel::Config::numBanks>("dram_banks"),
+    key<Plain, &C::getmGranule>("getm_granule"),
+    key<Plain, &C::getmPreciseEntriesTotal>("getm_precise_entries"),
+    key<Plain, &C::getmBloomEntriesTotal>("getm_bloom_entries"),
+    key<Plain, &C::getmUseMaxRegisters>("getm_max_registers"),
+    key<Plain, &C::getmStall, &StallBuffer::Config::lines>(
+        "getm_stall_lines"),
+    key<Plain, &C::getmStall, &StallBuffer::Config::entriesPerLine>(
+        "getm_stall_entries"),
+    key<Plain, &C::wtm, &WtmPartitionConfig::tcdEntries>("wtm_tcd_entries"),
+    key<ZeroIsNever, &C::rolloverThreshold>("rollover_threshold"),
+    key<Plain, &C::sampleInterval>("sample_interval"),
+    key<Plain, &C::hotAddrTopN>("hot_addrs"),
+    key<Plain, &C::seed>("seed"),
+    setting<Plain, &C::traceTx>("trace_tx"),
+    setting<Plain, &C::watchdogCycles>("watchdog_cycles"),
+    setting<Named<CheckLevel, parseCheckLevel>, &C::checkLevel>("check"),
+    setting<Named<FaultKind, parseFaultKind>, &C::injectFault>("inject"),
+    setting<Real, &C::injectProb>("inject_prob"),
+    setting<Real, &C::timeoutSec>("timeout_sec"),
+};
 
 } // namespace
 
 bool
-applyConfigText(const std::string &text, GpuConfig &cfg,
-                std::string &error)
+forEachConfigLine(const std::string &text, std::string &error,
+                  const ConfigLineFn &fn)
 {
     std::istringstream in(text);
     std::string line;
@@ -145,37 +199,38 @@ applyConfigText(const std::string &text, GpuConfig &cfg,
         line = trim(line);
         if (line.empty())
             continue;
+        const std::string where = "line " + std::to_string(line_no) + ": ";
         const auto eq = line.find('=');
         if (eq == std::string::npos) {
-            error = "line " + std::to_string(line_no) + ": expected "
-                    "'key = value'";
+            error = where + "expected 'key = value'";
             return false;
         }
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value_text = trim(line.substr(eq + 1));
-        bool handled = false;
-        if (!applyStringKey(cfg, key, value_text, handled)) {
-            error = "line " + std::to_string(line_no) +
-                    ": bad value for '" + key + "'";
+        if (!fn(trim(line.substr(0, eq)), trim(line.substr(eq + 1)), where))
             return false;
-        }
-        if (handled)
-            continue;
-        char *end = nullptr;
-        const std::uint64_t value =
-            std::strtoull(value_text.c_str(), &end, 0);
-        if (value_text.empty() || (end && *end != '\0')) {
-            error = "line " + std::to_string(line_no) +
-                    ": bad value for '" + key + "'";
-            return false;
-        }
-        if (!applyKey(cfg, key, value)) {
-            error = "line " + std::to_string(line_no) +
-                    ": unknown key '" + key + "'";
-            return false;
-        }
     }
-    return validateGpuConfig(cfg, error);
+    return true;
+}
+
+bool
+applyConfigText(const std::string &text, GpuConfig &cfg,
+                std::string &error)
+{
+    const auto apply = [&](const std::string &name,
+                           const std::string &value,
+                           const std::string &where) {
+        for (const Key &k : keys) {
+            if (name != k.name)
+                continue;
+            if (k.set(cfg, value))
+                return true;
+            error = where + "bad value for '" + name + "'";
+            return false;
+        }
+        error = where + "unknown key '" + name + "'";
+        return false;
+    };
+    return forEachConfigLine(text, error, apply) &&
+           validateGpuConfig(cfg, error);
 }
 
 bool
@@ -226,40 +281,10 @@ std::vector<std::pair<std::string, std::string>>
 configProvenance(const GpuConfig &cfg)
 {
     std::vector<std::pair<std::string, std::string>> out;
-    auto add = [&out](const char *key, std::uint64_t value) {
-        out.emplace_back(key, std::to_string(value));
-    };
     out.emplace_back("protocol", protocolName(cfg.protocol));
-    add("cores", cfg.numCores);
-    add("partitions", cfg.numPartitions);
-    add("warps_per_core", cfg.core.maxWarps);
-    add("tx_warp_limit", cfg.core.txWarpLimit == 0xffffffffu
-                             ? 0
-                             : cfg.core.txWarpLimit);
-    add("issue_width", cfg.core.issueWidth);
-    add("l1_kb", cfg.core.l1Bytes / 1024);
-    add("llc_kb_per_partition", cfg.llcBytesPerPartition / 1024);
-    add("llc_latency", cfg.llcLatency);
-    add("line_bytes", cfg.lineBytes);
-    add("xbar_latency", cfg.xbar.latency);
-    add("xbar_flit_bytes", cfg.xbar.flitBytes);
-    add("dram_latency", cfg.dram.accessLatency);
-    add("dram_row_hit_latency", cfg.dram.rowHitLatency);
-    add("dram_banks", cfg.dram.numBanks);
-    add("getm_granule", cfg.getmGranule);
-    add("getm_precise_entries", cfg.getmPreciseEntriesTotal);
-    add("getm_bloom_entries", cfg.getmBloomEntriesTotal);
-    add("getm_max_registers", cfg.getmUseMaxRegisters ? 1 : 0);
-    add("getm_stall_lines", cfg.getmStall.lines);
-    add("getm_stall_entries", cfg.getmStall.entriesPerLine);
-    add("wtm_tcd_entries", cfg.wtm.tcdEntries);
-    add("rollover_threshold",
-        cfg.rolloverThreshold == ~static_cast<LogicalTs>(0)
-            ? 0
-            : cfg.rolloverThreshold);
-    add("sample_interval", cfg.sampleInterval);
-    add("hot_addrs", cfg.hotAddrTopN);
-    add("seed", cfg.seed);
+    for (const Key &k : keys)
+        if (k.get)
+            out.emplace_back(k.name, k.get(cfg));
     return out;
 }
 

@@ -27,6 +27,7 @@
 #ifndef GETM_GPU_CONFIG_FILE_HH
 #define GETM_GPU_CONFIG_FILE_HH
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,22 @@
 #include "gpu/gpu_config.hh"
 
 namespace getm {
+
+/** Sees one `key = value` line; @p where is its "line N: " prefix for
+ *  diagnostics. Returns false, with the caller's error set, to stop. */
+using ConfigLineFn = std::function<bool(
+    const std::string &key, const std::string &value,
+    const std::string &where)>;
+
+/**
+ * Walk @p text in config-file syntax: strip `#` comments, skip blank
+ * lines, split every other line at its first `=` and trim both sides.
+ * Sweep manifests use the same syntax.
+ * @return false at the first line without `=` (with @p error set) or
+ *         the first line @p fn rejects.
+ */
+bool forEachConfigLine(const std::string &text, std::string &error,
+                       const ConfigLineFn &fn);
 
 /**
  * Apply `key = value` lines from @p text onto @p cfg.
@@ -63,7 +80,11 @@ bool validateGpuConfig(const GpuConfig &cfg, std::string &error);
  * Flatten @p cfg into ordered key/value pairs using the same key names
  * the config-file parser accepts (plus the protocol). This is the
  * config-provenance block of the exported metrics document: feeding the
- * values back through a config file reproduces the run.
+ * values back through a config file reproduces the run's machine
+ * (`ConfigFile.ProvenanceRoundTrips` in tests/test_config_file.cc
+ * checks this for every key). The keys that only check, trace or guard
+ * a run (check, inject, inject_prob, trace_tx, watchdog_cycles,
+ * timeout_sec) are left out.
  */
 std::vector<std::pair<std::string, std::string>>
 configProvenance(const GpuConfig &cfg);

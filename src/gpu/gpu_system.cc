@@ -12,6 +12,7 @@
 #include "check/fault.hh"
 #include "ckpt/checkpoint.hh"
 #include "ckpt/serial.hh"
+#include "common/fnv1a.hh"
 #include "common/log.hh"
 #include "common/stop_flag.hh"
 #include "core/getm_core_tm.hh"
@@ -559,16 +560,9 @@ std::uint64_t
 GpuSystem::checkpointHash(const Kernel &kernel,
                           std::uint64_t num_threads) const
 {
-    constexpr std::uint64_t basis = 0xcbf29ce484222325ull;
-    constexpr std::uint64_t prime = 0x100000001b3ull;
-    std::uint64_t h = basis;
-    auto mix = [&h, prime](const std::string &text) {
-        for (unsigned char byte : text) {
-            h ^= byte;
-            h *= prime;
-        }
-        h ^= 0x1f; // field separator
-        h *= prime;
+    std::uint64_t h = fnv1aBasis;
+    auto mix = [&h](const std::string &text) {
+        h = fnv1a64("\x1f", fnv1a64(text, h)); // then a field separator
     };
     for (const auto &[key, value] : configProvenance(cfg)) {
         mix(key);

@@ -446,6 +446,7 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
 
     const bool is_store = inst.op == Opcode::Store;
     const bool is_load = inst.op == Opcode::Load;
+    const auto line_of = [this](Addr addr) { return addrMap.lineOf(addr); };
 
     if (warp.inTx && (is_load || is_store)) {
         if (is_load)
@@ -468,18 +469,8 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
         warp.pendingReg = inst.rd;
         const bool bypass = inst.memFlags & MemBypassL1;
         // Coalesce into lines.
-        LaneMask pending = active;
-        while (pending) {
-            const LaneId lead =
-                static_cast<LaneId>(std::countr_zero(pending));
-            const Addr line = addrMap.lineOf(addrs[lead]);
-            LaneMask group = 0;
-            for (LaneId lane = lead; lane < warpSize; ++lane)
-                if ((pending & (1u << lane)) &&
-                    addrMap.lineOf(addrs[lane]) == line)
-                    group |= 1u << lane;
-            pending &= ~group;
-
+        forEachLaneGroup(active, addrs, line_of,
+                         [&](Addr line, LaneMask group) {
             // The line becomes visible only when its fill returns (the
             // MSHR tracks the window in between), so concurrent misses
             // merge instead of all hitting a just-allocated tag.
@@ -490,7 +481,7 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
                     if (group & (1u << lane))
                         writebackLane(warp, lane, store.read(addrs[lane]));
                 stL1LoadHits.add();
-                continue;
+                return;
             }
             ++warp.outstanding;
             if (!bypass && (mshrs.pending(line) || mshrs.hasRoom())) {
@@ -505,7 +496,7 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
                 const bool primary = mshrs.add(line, std::move(target));
                 (primary ? stL1Fills : stMshrMerges).add();
                 if (!primary)
-                    continue; // the outstanding fill will service us
+                    return; // the outstanding fill will service us
             }
             MemMsg msg;
             msg.kind = MsgKind::NtxRead;
@@ -525,7 +516,7 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
                          0, 0});
             msg.bytes = 8;
             sendToPartition(std::move(msg));
-        }
+        });
         if (warp.outstanding)
             changeState(warp, WarpState::MemWait);
         return;
@@ -533,18 +524,8 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
 
     if (is_store) {
         const bool bypass = inst.memFlags & MemBypassL1;
-        LaneMask pending = active;
-        while (pending) {
-            const LaneId lead =
-                static_cast<LaneId>(std::countr_zero(pending));
-            const Addr line = addrMap.lineOf(addrs[lead]);
-            LaneMask group = 0;
-            for (LaneId lane = lead; lane < warpSize; ++lane)
-                if ((pending & (1u << lane)) &&
-                    addrMap.lineOf(addrs[lane]) == line)
-                    group |= 1u << lane;
-            pending &= ~group;
-
+        forEachLaneGroup(active, addrs, line_of,
+                         [&](Addr line, LaneMask group) {
             MemMsg msg;
             msg.kind = MsgKind::NtxWrite;
             msg.addr = line;
@@ -576,23 +557,14 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
             // memory system and ordering is the fence's job.
             if (bypass)
                 ++warp.outstanding;
-        }
+        });
         return;
     }
 
     // Atomics: execute at the partition, return old values.
     warp.pendingReg = inst.rd;
-    LaneMask pending = active;
-    while (pending) {
-        const LaneId lead = static_cast<LaneId>(std::countr_zero(pending));
-        const Addr line = addrMap.lineOf(addrs[lead]);
-        LaneMask group = 0;
-        for (LaneId lane = lead; lane < warpSize; ++lane)
-            if ((pending & (1u << lane)) &&
-                addrMap.lineOf(addrs[lane]) == line)
-                group |= 1u << lane;
-        pending &= ~group;
-
+    forEachLaneGroup(active, addrs, line_of,
+                     [&](Addr line, LaneMask group) {
         MemMsg msg;
         msg.kind = MsgKind::Atomic;
         msg.addr = line;
@@ -621,7 +593,7 @@ SimtCore::execMemory(Warp &warp, const Instruction &inst, LaneMask active)
         msg.bytes = 8 + data_bytes;
         sendToPartition(std::move(msg));
         ++warp.outstanding;
-    }
+    });
     changeState(warp, WarpState::MemWait);
 }
 

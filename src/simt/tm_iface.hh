@@ -19,6 +19,7 @@
 #define GETM_SIMT_TM_IFACE_HH
 
 #include <array>
+#include <bit>
 #include <vector>
 
 #include "simt/warp.hh"
@@ -40,6 +41,30 @@ using LaneAddrs = std::array<Addr, warpSize>;
 
 /** Per-lane store data of one memory instruction. */
 using LaneVals = std::array<std::uint32_t, warpSize>;
+
+/**
+ * Split @p lanes into groups whose addresses fall in one block (a
+ * cache line or a metadata granule: @p block_of maps an address to its
+ * block) and hand each to @p fn(block, group), starting with the group
+ * of the lowest lane and going on with the lowest lane left.
+ */
+template <class BlockOf, class Fn>
+inline void
+forEachLaneGroup(LaneMask lanes, const LaneAddrs &addrs, BlockOf block_of,
+                 Fn &&fn)
+{
+    while (lanes) {
+        const Addr block = block_of(addrs[std::countr_zero(lanes)]);
+        LaneMask group = 0;
+        for (LaneMask rest = lanes; rest; rest &= rest - 1) {
+            const int lane = std::countr_zero(rest);
+            if (block_of(addrs[lane]) == block)
+                group |= 1u << lane;
+        }
+        lanes &= ~group;
+        fn(block, group);
+    }
+}
 
 /** Core-side protocol engine. */
 class TmCoreProtocol

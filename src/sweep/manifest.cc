@@ -5,33 +5,17 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/fnv1a.hh"
 #include "common/json.hh"
 #include "gpu/config_file.hh"
 
 namespace getm {
 
-std::uint64_t
-fnv1a64(std::string_view text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char ch : text) {
-        hash ^= static_cast<unsigned char>(ch);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 namespace {
 
-std::string
-trim(const std::string &text)
-{
-    const auto begin = text.find_first_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return "";
-    const auto end = text.find_last_not_of(" \t\r");
-    return text.substr(begin, end - begin + 1);
-}
+/** A tx-warp limit no config text sets (`tx_warp_limit = 0` means
+ *  unlimited): resolvePoint() gives it the Table IV optimum. */
+constexpr unsigned limitUnchosen = 0;
 
 /** Split on commas and/or whitespace; never returns empty tokens. */
 std::vector<std::string>
@@ -82,6 +66,28 @@ isConfigKey(const std::string &key, const std::string &value)
 
 } // namespace
 
+GpuConfig
+pointBaseConfig()
+{
+    GpuConfig cfg = GpuConfig::gtx480();
+    cfg.seed = 7;
+    cfg.core.txWarpLimit = limitUnchosen;
+    return cfg;
+}
+
+void
+resolvePoint(SweepPoint &point, bool default_sampler)
+{
+    GpuConfig &cfg = point.config;
+    cfg.protocol = point.protocol;
+    point.seed = cfg.seed;
+    if (cfg.core.txWarpLimit == limitUnchosen)
+        cfg.core.txWarpLimit =
+            optimalConcurrency(point.bench, point.protocol);
+    if (default_sampler && cfg.sampleInterval == 0)
+        cfg.sampleInterval = 512;
+}
+
 std::uint64_t
 SweepPoint::specHash() const
 {
@@ -129,53 +135,41 @@ SweepManifest::parse(const std::string &text,
     baseConfigPath.clear();
     axes.clear();
 
-    std::istringstream in(text);
-    std::string line;
-    unsigned line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const auto at = [&line_no] {
-            return "line " + std::to_string(line_no) + ": ";
-        };
-        const auto comment = line.find('#');
-        if (comment != std::string::npos)
-            line.erase(comment);
-        line = trim(line);
-        if (line.empty())
-            continue;
-        const auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            error = at() + "expected 'key = value'";
-            return false;
-        }
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value_text = trim(line.substr(eq + 1));
+    const auto parsed = [&](const std::string &key,
+                            const std::string &value_text,
+                            const std::string &at) {
         if (value_text.empty()) {
-            error = at() + "empty value for '" + key + "'";
+            error = at + "empty value for '" + key + "'";
             return false;
         }
 
         if (key == "name") {
             sweepName = value_text;
-            continue;
+            return true;
         }
         if (key == "config") {
             baseConfig = value_text;
             baseConfigPath = manifest_dir.empty()
                                  ? value_text
                                  : manifest_dir + "/" + value_text;
-            continue;
+            return true;
         }
         if (key == "max_cycles") {
             if (!parseUint(value_text, maxCycles)) {
-                error = at() + "bad max_cycles";
+                error = at + "bad max_cycles";
                 return false;
             }
-            continue;
+            return true;
+        }
+        if (key == "tx_warp_limit") {
+            error = at + "the concurrency axis sets every point's "
+                         "'tx_warp_limit'; list the limits as "
+                         "'concurrency = ...'";
+            return false;
         }
 
         if (findAxis(key)) {
-            error = at() + "duplicate axis '" + key + "'";
+            error = at + "duplicate axis '" + key + "'";
             return false;
         }
 
@@ -194,52 +188,54 @@ SweepManifest::parse(const std::string &text,
                 WorkloadSpec spec;
                 std::string spec_error;
                 if (!parseWorkloadSpec(token, spec, spec_error)) {
-                    error = at() + spec_error;
+                    error = at + spec_error;
                     return false;
                 }
                 axis.values.push_back(spec.token());
             } else if (key == "protocol") {
                 const auto protocol = parseProtocol(token);
                 if (!protocol) {
-                    error = at() + "unknown protocol '" + token + "'";
+                    error = at + "unknown protocol '" + token + "'";
                     return false;
                 }
                 axis.values.push_back(protocolName(*protocol));
             } else if (key == "scale") {
                 double scale;
                 if (!parseDouble(token, scale) || scale <= 0) {
-                    error = at() + "bad scale '" + token + "'";
+                    error = at + "bad scale '" + token + "'";
                     return false;
                 }
                 axis.values.push_back(jsonNumber(scale));
             } else if (key == "seed") {
                 std::uint64_t seed;
                 if (!parseUint(token, seed)) {
-                    error = at() + "bad seed '" + token + "'";
+                    error = at + "bad seed '" + token + "'";
                     return false;
                 }
                 axis.values.push_back(jsonNumber(seed));
             } else if (key == "concurrency") {
-                std::uint64_t limit;
-                if (token != "opt" && !parseUint(token, limit)) {
-                    error = at() + "bad concurrency '" + token + "'";
+                if (token != "opt" && !isConfigKey("tx_warp_limit", token)) {
+                    error = at + "bad concurrency '" + token + "'";
                     return false;
                 }
                 axis.values.push_back(token);
             } else if (isConfigKey(key, token)) {
                 axis.values.push_back(token);
             } else {
-                error = at() + "unknown key '" + key +
-                        "' (or bad value '" + token + "')";
+                error = at + "unknown key '" + key + "' (or bad value '" +
+                        token + "')";
                 return false;
             }
         }
         if (axis.values.empty()) {
-            error = at() + "axis '" + key + "' has no values";
+            error = at + "axis '" + key + "' has no values";
             return false;
         }
         axes.push_back(std::move(axis));
-    }
+        return true;
+    };
+    if (!forEachConfigLine(text, error, parsed))
+        return false;
 
     if (sweepName.empty()) {
         error = "manifest lacks 'name ='";
@@ -276,10 +272,11 @@ SweepManifest::load(const std::string &path, std::string &error)
     if (baseConfigPath.empty())
         return true;
 
-    // The seed axis sets every point's seed, so a seed in the base
-    // config would be ignored. Loaded over two different seeds, a file
-    // that sets one ends both loads on the same value.
-    GpuConfig zero = GpuConfig::gtx480(), one = zero;
+    // The seed and concurrency axes set every point's seed and tx-warp
+    // limit, so either in the base config would be ignored. Loaded over
+    // two different seeds, a file that sets one ends both loads on the
+    // same value.
+    GpuConfig zero = pointBaseConfig(), one = zero;
     zero.seed = 0;
     one.seed = 1;
     if (!loadConfigFile(baseConfigPath, zero, error) ||
@@ -289,6 +286,12 @@ SweepManifest::load(const std::string &path, std::string &error)
         error = "config " + baseConfig + " sets 'seed', which the "
                 "manifest's seed axis overrides; list the seeds as "
                 "'seed = ...' in the manifest";
+        return false;
+    }
+    if (zero.core.txWarpLimit != limitUnchosen) {
+        error = "config " + baseConfig + " sets 'tx_warp_limit', which "
+                "the manifest's concurrency axis overrides; list the "
+                "limits as 'concurrency = ...' in the manifest";
         return false;
     }
     return true;
@@ -316,7 +319,7 @@ SweepManifest::enumerate(std::vector<SweepPoint> &points,
 {
     points.clear();
 
-    GpuConfig base = GpuConfig::gtx480();
+    GpuConfig base = pointBaseConfig();
     if (!baseConfigPath.empty() &&
         !loadConfigFile(baseConfigPath, base, error))
         return false;
@@ -328,7 +331,6 @@ SweepManifest::enumerate(std::vector<SweepPoint> &points,
         point.config = base;
         point.maxCycles = maxCycles;
         std::string id_suffix;
-        std::string concurrency_token = "opt";
 
         for (std::size_t a = 0; a < axes.size(); ++a) {
             const Axis &axis = axes[a];
@@ -341,10 +343,10 @@ SweepManifest::enumerate(std::vector<SweepPoint> &points,
                     point.protocol = *protocol;
             } else if (axis.key == "scale") {
                 parseDouble(value, point.scale);
-            } else if (axis.key == "seed") {
-                parseUint(value, point.seed);
             } else if (axis.key == "concurrency") {
-                concurrency_token = value;
+                if (value != "opt")
+                    applyConfigText("tx_warp_limit = " + value,
+                                    point.config, error);
             } else if (!applyConfigText(axis.key + " = " + value,
                                         point.config, error)) {
                 error = "axis " + axis.key + ": " + error;
@@ -355,24 +357,10 @@ SweepManifest::enumerate(std::vector<SweepPoint> &points,
                 id_suffix += "+" + axis.key + "=" + value;
         }
 
-        point.config.protocol = point.protocol;
-        point.config.seed = point.seed;
-        unsigned &tx_warp_limit = point.config.core.txWarpLimit;
-        if (concurrency_token == "opt")
-            tx_warp_limit = optimalConcurrency(point.bench, point.protocol);
-        else {
-            std::uint64_t limit = 0;
-            parseUint(concurrency_token, limit);
-            tx_warp_limit =
-                limit == 0 ? 0xffffffffu : static_cast<unsigned>(limit);
-        }
-
         // Every point exports a metrics document; default the sampler
         // on (as `getm-sim --metrics` does) unless the manifest takes
         // explicit control of the interval.
-        if (point.config.sampleInterval == 0 &&
-            !findAxis("sample_interval"))
-            point.config.sampleInterval = 512;
+        resolvePoint(point, !findAxis("sample_interval"));
 
         point.id = point.bench.token() + "+" +
                    protocolName(point.protocol) + id_suffix;

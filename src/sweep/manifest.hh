@@ -27,11 +27,14 @@
  *   protocol      axis: getm warptm warptm-el eapg fglock (def. getm)
  *   scale         axis: workload scale factors (default 0.25)
  *   seed          axis: workload/GPU seeds (default 7)
- *   concurrency   axis: tx warps/core; `opt` = the Table IV optimum
- *                 for each (bench, protocol), 0 = unlimited (def. opt)
+ *   concurrency   axis: tx warps/core, the `tx_warp_limit` key; `opt` =
+ *                 the Table IV optimum for each (bench, protocol),
+ *                 0 = unlimited (def. opt)
  *   max_cycles    per-point simulation safety bound (scalar)
  *   <config key>  axis: any `gpu/config_file.hh` key (getm_granule,
- *                 cores, llc_latency, ...) with one or more values
+ *                 cores, llc_latency, ...) with one or more values,
+ *                 except `tx_warp_limit`, which the concurrency axis
+ *                 sets
  *
  * Every point gets a stable, filesystem-safe id: the bench spec token
  * and protocol joined with `+`, followed by one `key=value` token per
@@ -71,7 +74,7 @@ struct SweepPoint
     std::uint64_t seed = 7;
     std::uint64_t maxCycles = 2'000'000'000ull;
     /** Complete GPU configuration for this point: protocol, seed and
-     *  the resolved tx-warp limit (Table IV optimum) folded in. */
+     *  the resolved tx-warp limit folded in (see resolvePoint()). */
     GpuConfig config;
 
     /** Resume hash over the resolved spec (see file comment). */
@@ -89,15 +92,16 @@ class SweepManifest
      * `config =` paths (pass the manifest file's directory, or "" for
      * the working directory).
      * @return false with @p error set on syntax errors, unknown keys,
-     *         unknown bench/protocol names, or empty axes.
+     *         unknown bench/protocol names, empty axes or a
+     *         `tx_warp_limit` axis.
      */
     bool parse(const std::string &text, const std::string &manifest_dir,
                std::string &error);
 
     /**
      * Load @p path and parse it, then load its base config: false with
-     * @p error set if that fails or sets `seed` (the seed axis sets
-     * every point's seed).
+     * @p error set if that fails or sets `seed` or `tx_warp_limit` (the
+     * seed and concurrency axes set them for every point).
      */
     bool load(const std::string &path, std::string &error);
 
@@ -135,8 +139,22 @@ class SweepManifest
     std::vector<Axis> axes; ///< Declaration order, including defaults.
 };
 
-/** 64-bit FNV-1a over @p text (the sweep subsystem's stable hash). */
-std::uint64_t fnv1a64(std::string_view text);
+/**
+ * The config every point starts from, before config files, flags and
+ * axes: GpuConfig::gtx480() with seed 7 and no tx-warp limit chosen
+ * yet (resolvePoint() chooses one before the point runs).
+ */
+GpuConfig pointBaseConfig();
+
+/**
+ * Finish @p point for a run, as getm-sim and getm-sweep both do: fold
+ * the protocol into its config, take the point's seed from the config,
+ * give a tx-warp limit that no config text, flag or axis chose the
+ * Table IV optimum for the bench and protocol, and, when
+ * @p default_sampler is set, turn a sampler that is off on at 512
+ * cycles (a metrics document without time-series is half a document).
+ */
+void resolvePoint(SweepPoint &point, bool default_sampler);
 
 } // namespace getm
 

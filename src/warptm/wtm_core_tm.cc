@@ -125,16 +125,9 @@ WtmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
     }
 
     // Transactional loads fetch from the LLC and probe the TCD table.
-    LaneMask pending = remote;
-    while (pending) {
-        const LaneId lead = static_cast<LaneId>(std::countr_zero(pending));
-        const Addr granule = core.granuleOf(addrs[lead]);
-        LaneMask group = 0;
-        for (LaneId lane = lead; lane < warpSize; ++lane)
-            if ((pending & (1u << lane)) &&
-                core.granuleOf(addrs[lane]) == granule)
-                group |= 1u << lane;
-        pending &= ~group;
+    const auto granule_of = [this](Addr addr) { return core.granuleOf(addr); };
+    forEachLaneGroup(remote, addrs, granule_of,
+                     [&](Addr granule, LaneMask group) {
         MemMsg msg;
         msg.kind = MsgKind::WtmTxLoad;
         msg.addr = granule;
@@ -152,7 +145,7 @@ WtmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
         core.sendToPartition(std::move(msg));
         ++warp.outstanding;
         stLoadReqs.add();
-    }
+    });
 }
 
 void

@@ -54,6 +54,13 @@ TEST(ConfigFile, RejectsMalformedLines)
     EXPECT_FALSE(applyConfigText("cores\n", cfg, error));
     EXPECT_NE(error.find("line 1"), std::string::npos);
     EXPECT_FALSE(applyConfigText("cores = twelve\n", cfg, error));
+    // A value must be a whole number that fits its field.
+    for (const char *text :
+         {"cores = 3x\n", "cores = -1\n", "cores = 4294967296\n",
+          "getm_max_registers = 2\n", "l1_kb = 18014398509481984\n",
+          "seed = 99999999999999999999\n", "timeout_sec = abc\n",
+          "timeout_sec = -1\n", "inject_prob = x\n", "inject_prob = 2\n"})
+        EXPECT_FALSE(applyConfigText(text, cfg, error)) << text;
 }
 
 TEST(ConfigFile, EmptyAndCommentOnlyIsFine)
@@ -72,6 +79,69 @@ TEST(ConfigFile, RolloverZeroDisables)
     ASSERT_TRUE(applyConfigText("rollover_threshold = 100\n", cfg,
                                 error));
     EXPECT_EQ(cfg.rolloverThreshold, 100u);
+}
+
+TEST(ConfigFile, ProvenanceRoundTrips)
+{
+    // Every key away from its gtx480() default.
+    GpuConfig changed = GpuConfig::gtx480();
+    changed.protocol = ProtocolKind::Eapg;
+    std::string error;
+    ASSERT_TRUE(applyConfigText("cores = 3\n"
+                                "partitions = 5\n"
+                                "warps_per_core = 16\n"
+                                "tx_warp_limit = 2\n"
+                                "issue_width = 2\n"
+                                "l1_kb = 16\n"
+                                "llc_kb_per_partition = 64\n"
+                                "llc_latency = 100\n"
+                                "line_bytes = 64\n"
+                                "xbar_latency = 9\n"
+                                "xbar_flit_bytes = 16\n"
+                                "dram_latency = 300\n"
+                                "dram_row_hit_latency = 90\n"
+                                "dram_banks = 4\n"
+                                "getm_granule = 64\n"
+                                "getm_precise_entries = 2048\n"
+                                "getm_bloom_entries = 512\n"
+                                "getm_max_registers = 1\n"
+                                "getm_stall_lines = 8\n"
+                                "getm_stall_entries = 2\n"
+                                "wtm_tcd_entries = 1024\n"
+                                "rollover_threshold = 100\n"
+                                "sample_interval = 256\n"
+                                "hot_addrs = 4\n"
+                                "seed = 9\n"
+                                "trace_tx = 1\n"
+                                "watchdog_cycles = 5000\n"
+                                "check = serial\n"
+                                "inject = leak-lock\n"
+                                "inject_prob = 0.5\n"
+                                "timeout_sec = 60\n",
+                                changed, error))
+        << error;
+    const auto defaults = configProvenance(GpuConfig::gtx480());
+    ASSERT_EQ(configProvenance(changed).size(), defaults.size());
+    for (std::size_t i = 0; i < defaults.size(); ++i)
+        EXPECT_NE(configProvenance(changed)[i], defaults[i])
+            << defaults[i].first << " kept its default";
+
+    // Each trip starts from the other config, so every value it reports
+    // came back through the text. The protocol is no config key.
+    const std::pair<GpuConfig, GpuConfig> trips[] = {
+        {GpuConfig::gtx480(), changed}, {changed, GpuConfig::gtx480()}};
+    for (const auto &[cfg, start] : trips) {
+        const auto provenance = configProvenance(cfg);
+        ASSERT_EQ(provenance.front().first, "protocol");
+        std::string text;
+        for (std::size_t i = 1; i < provenance.size(); ++i)
+            text += provenance[i].first + " = " + provenance[i].second +
+                    "\n";
+        GpuConfig back = start;
+        back.protocol = cfg.protocol;
+        ASSERT_TRUE(applyConfigText(text, back, error)) << error;
+        EXPECT_EQ(configProvenance(back), provenance);
+    }
 }
 
 TEST(ConfigFile, MissingFileReportsError)

@@ -245,6 +245,42 @@ TEST(SweepManifest, RejectsBadInput)
     }
 }
 
+TEST(SweepManifest, TxWarpLimitBelongsToTheConcurrencyAxis)
+{
+    // The concurrency axis sets every point's tx_warp_limit, so a
+    // manifest that sets the key by an axis or in its base config is
+    // refused at load, as a base config's seed is.
+    const std::string dir = scratchDir("tx_warp_limit");
+    std::filesystem::create_directories(dir);
+    const auto write = [&dir](const std::string &name,
+                              const std::string &text) {
+        std::ofstream(dir + "/" + name) << text;
+        return dir + "/" + name;
+    };
+    write("limit.cfg", "cores = 4\ntx_warp_limit = 2\n");
+    for (const char *text : {"name = x\ntx_warp_limit = 2 4\n",
+                             "name = x\nconfig = limit.cfg\n"}) {
+        SweepManifest manifest;
+        std::string error;
+        EXPECT_FALSE(manifest.load(write("m.sweep", text), error)) << text;
+        EXPECT_NE(error.find("tx_warp_limit"), std::string::npos) << error;
+        EXPECT_NE(error.find("concurrency"), std::string::npos) << error;
+    }
+
+    // The same limits through the concurrency axis load and apply.
+    SweepManifest manifest;
+    std::string error;
+    ASSERT_TRUE(manifest.load(
+        write("m.sweep", "name = x\nconcurrency = 2 4\n"), error))
+        << error;
+    std::vector<SweepPoint> points;
+    ASSERT_TRUE(manifest.enumerate(points, error)) << error;
+    ASSERT_EQ(points.size(), 2u);
+    EXPECT_EQ(points[0].config.core.txWarpLimit, 2u);
+    EXPECT_EQ(points[1].config.core.txWarpLimit, 4u);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SweepManifest, DuplicatePointIdsAreRejectedByTheRunner)
 {
     SweepManifest manifest;

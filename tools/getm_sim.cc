@@ -16,11 +16,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 
-#include "check/fault.hh"
 #include "common/sim_error.hh"
 #include "common/stop_flag.hh"
 #include "gpu/config_file.hh"
@@ -45,48 +44,60 @@ usage(const char *argv0)
         "                      (see --list-benches)\n"
         "  --protocol NAME     getm | warptm | warptm-el | eapg | fglock\n"
         "  --scale F           workload scale (default 0.25; 1.0 = paper)\n"
-        "  --seed N            workload seed (default: a --config\n"
-        "                      file's seed, else 7)\n"
-        "  --concurrency N     tx warps/core (default: Table IV optimum;\n"
-        "                      0 = unlimited)\n"
-        "  --cores N           SIMT cores (default 15)\n"
-        "  --partitions N      memory partitions (default 6)\n"
-        "  --granule N         GETM metadata granularity bytes (def. 32)\n"
-        "  --table-entries N   GETM precise entries GPU-wide (def. 4096)\n"
-        "  --max-registers     GETM ablation: registers instead of Bloom\n"
-        "  --rollover N        force GETM timestamp rollover at N\n"
         "  --config FILE       apply a key=value configuration file\n"
+        "  --seed N            key seed: workload seed (default: a\n"
+        "                      --config file's seed, else 7)\n"
+        "  --concurrency N     key tx_warp_limit: tx warps/core (default:\n"
+        "                      a --config file's limit, else the Table IV\n"
+        "                      optimum; 0 = unlimited)\n"
+        "machine settings: each flag is the config line 'KEY = VALUE' for\n"
+        "the key named, applied in command-line order with --config files\n"
+        "(--seed and --concurrency win over every file):\n"
+        "  --cores N           key cores: SIMT cores (default 15)\n"
+        "  --partitions N      key partitions: memory partitions (def. 6)\n"
+        "  --granule N         key getm_granule: GETM metadata granularity\n"
+        "                      bytes (default 32)\n"
+        "  --table-entries N   key getm_precise_entries: GETM precise\n"
+        "                      entries GPU-wide (default 4096)\n"
+        "  --max-registers     key getm_max_registers = 1: GETM ablation,\n"
+        "                      registers instead of Bloom\n"
+        "  --rollover N        key rollover_threshold: force GETM timestamp\n"
+        "                      rollover at N (default 0 = never)\n"
+        "  --sample-interval N key sample_interval: telemetry sampling\n"
+        "                      period in cycles (default 512 when\n"
+        "                      --metrics is given, else 0 = off)\n"
+        "  --hot-addrs N       key hot_addrs: rows in the hot-address\n"
+        "                      table (default 16)\n"
+        "  --trace-tx N        key trace_tx: trace every Nth transaction's\n"
+        "                      lifecycle (1 = all; 0 = off). Adds a\n"
+        "                      \"tx_trace\" section to --metrics and\n"
+        "                      per-warp spans to --timeline; observe-only,\n"
+        "                      so simulated timing is unchanged\n"
+        "  --check[=LEVEL]     key check: runtime correctness checker:\n"
+        "                      read | serial (default). Violations go to\n"
+        "                      stderr and fail the run; timing and all\n"
+        "                      reported stats are unchanged\n"
+        "  --inject=FAULT[@P]  keys inject = FAULT, inject_prob = P\n"
+        "                      (default 1): inject a protocol fault:\n"
+        "                      skip-rts-bump | force-store-grant |\n"
+        "                      commit-stale-read | skip-validation |\n"
+        "                      corrupt-commit | drop-commit-write |\n"
+        "                      leak-lock\n"
+        "  --watchdog-cycles N key watchdog_cycles: declare livelock after\n"
+        "                      N visited cycles without a tx lane\n"
+        "                      committing or an instruction retiring\n"
+        "                      outside a tx (default 2000000; 0 off)\n"
+        "  --timeout-sec S     key timeout_sec: abort the run after S\n"
+        "                      seconds of wall clock (default 0 =\n"
+        "                      unlimited)\n"
+        "other options:\n"
         "  --timeline FILE     write a Chrome-trace tx timeline\n"
         "                      (named tracks; telemetry counter rows)\n"
         "  --metrics FILE      write the full metrics document (JSON:\n"
         "                      stats tree, abort-reason breakdown,\n"
         "                      hot-address table, sampled time-series)\n"
-        "  --sample-interval N telemetry sampling period in cycles\n"
-        "                      (default 512 when --metrics is given,\n"
-        "                      else 0 = off)\n"
-        "  --hot-addrs N       rows in the hot-address table (def. 16)\n"
-        "  --trace-tx N        trace every Nth transaction's lifecycle\n"
-        "                      (1 = all; 0 = off). Adds a \"tx_trace\"\n"
-        "                      section to --metrics and per-warp spans\n"
-        "                      to --timeline; observe-only, so simulated\n"
-        "                      timing is unchanged\n"
-        "  --check[=LEVEL]     runtime correctness checker: read |\n"
-        "                      serial (default). Violations go to\n"
-        "                      stderr and fail the run; timing and all\n"
-        "                      reported stats are unchanged\n"
-        "  --inject=FAULT[@P]  inject a protocol fault with probability\n"
-        "                      P (default 1): skip-rts-bump |\n"
-        "                      force-store-grant | commit-stale-read |\n"
-        "                      skip-validation | corrupt-commit |\n"
-        "                      drop-commit-write | leak-lock\n"
         "  --max-cycles N      per-run simulation safety bound\n"
         "                      (default 2000000000)\n"
-        "  --watchdog-cycles N declare livelock after N visited cycles\n"
-        "                      without a tx lane committing or an\n"
-        "                      instruction retiring outside a tx\n"
-        "                      (default 2000000; 0 off)\n"
-        "  --timeout-sec S     abort the run after S seconds of wall\n"
-        "                      clock (default 0 = unlimited)\n"
         "  --checkpoint-every N  write a crash-safe machine snapshot\n"
         "                      every N simulated cycles (at the first\n"
         "                      visited cycle at or past each multiple\n"
@@ -110,6 +121,21 @@ usage(const char *argv0)
         "boundary, flushing metrics and a final checkpoint)\n",
         argv0);
 }
+
+/** Machine-setting flags that take the next argument as the value of
+ *  one config key: {flag, key}. */
+constexpr std::pair<const char *, const char *> aliases[] = {
+    {"--cores", "cores"},
+    {"--partitions", "partitions"},
+    {"--granule", "getm_granule"},
+    {"--table-entries", "getm_precise_entries"},
+    {"--rollover", "rollover_threshold"},
+    {"--sample-interval", "sample_interval"},
+    {"--hot-addrs", "hot_addrs"},
+    {"--trace-tx", "trace_tx"},
+    {"--watchdog-cycles", "watchdog_cycles"},
+    {"--timeout-sec", "timeout_sec"},
+};
 
 void
 listBenches()
@@ -135,16 +161,27 @@ main(int argc, char **argv)
     SweepPoint point;
     point.bench = WorkloadSpec{"HT-H"};
     point.protocol = ProtocolKind::Getm;
-    point.config = GpuConfig::gtx480();
+    point.config = pointBaseConfig();
     GpuConfig &cfg = point.config;
-    // A --config file's seed is the point's seed; --seed overrides it.
-    cfg.seed = point.seed;
-    bool seed_set = false;
-    std::optional<unsigned> concurrency;
+    // Applied after every --config file, so they win over the files.
+    std::optional<std::string> seed, concurrency;
     bool dump_stats = false, disasm = false, area = false;
     bool json = false;
     std::string metrics_path;
     bool sample_interval_set = false;
+
+    // Every machine setting goes through the config-file parser as the
+    // line `key = value`; a value must not end the line early.
+    const auto apply = [&cfg](const std::string &arg, const std::string &key,
+                              const std::string &value) {
+        std::string error;
+        if (value.find_first_of("#\n") != std::string::npos)
+            error = "bad value for '" + key + "'";
+        else if (applyConfigText(key + " = " + value, cfg, error))
+            return;
+        std::fprintf(stderr, "%s: %s\n", arg.c_str(), error.c_str());
+        std::exit(2);
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -156,7 +193,24 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--bench") {
+        std::string key;
+        for (const auto &[flag, alias_key] : aliases)
+            if (arg == flag)
+                key = alias_key;
+        if (!key.empty()) {
+            apply(arg, key, next());
+            sample_interval_set |= key == "sample_interval";
+        } else if (arg == "--max-registers") {
+            apply(arg, "getm_max_registers", "1");
+        } else if (arg == "--check" || arg.rfind("--check=", 0) == 0) {
+            apply(arg, "check", arg == "--check" ? "on" : arg.substr(8));
+        } else if (arg.rfind("--inject=", 0) == 0) {
+            const std::string spec = arg.substr(9);
+            const auto at = spec.find('@');
+            apply(arg, "inject", spec.substr(0, at));
+            apply(arg, "inject_prob",
+                  at == std::string::npos ? "1" : spec.substr(at + 1));
+        } else if (arg == "--bench") {
             std::string spec_error;
             if (!parseWorkloadSpec(next(), point.bench, spec_error)) {
                 std::fprintf(stderr, "%s\n", spec_error.c_str());
@@ -172,25 +226,9 @@ main(int argc, char **argv)
         } else if (arg == "--scale") {
             point.scale = std::atof(next());
         } else if (arg == "--seed") {
-            point.seed = std::strtoull(next(), nullptr, 10);
-            seed_set = true;
+            seed = next();
         } else if (arg == "--concurrency") {
-            const unsigned long value = std::strtoul(next(), nullptr, 10);
-            concurrency = value == 0 ? 0xffffffffu
-                                     : static_cast<unsigned>(value);
-        } else if (arg == "--cores") {
-            cfg.numCores = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--partitions") {
-            cfg.numPartitions = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--granule") {
-            cfg.getmGranule = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--table-entries") {
-            cfg.getmPreciseEntriesTotal =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--max-registers") {
-            cfg.getmUseMaxRegisters = true;
-        } else if (arg == "--rollover") {
-            cfg.rolloverThreshold = std::strtoull(next(), nullptr, 10);
+            concurrency = next();
         } else if (arg == "--config") {
             std::string error;
             if (!loadConfigFile(next(), cfg, error)) {
@@ -201,46 +239,8 @@ main(int argc, char **argv)
             cfg.timelinePath = next();
         } else if (arg == "--metrics") {
             metrics_path = next();
-        } else if (arg == "--sample-interval") {
-            cfg.sampleInterval = std::strtoull(next(), nullptr, 10);
-            sample_interval_set = true;
-        } else if (arg == "--hot-addrs") {
-            cfg.hotAddrTopN = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--trace-tx") {
-            cfg.traceTx = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--check" || arg.rfind("--check=", 0) == 0) {
-            const std::string text =
-                arg == "--check" ? "on" : arg.substr(8);
-            CheckLevel level;
-            if (!parseCheckLevel(text, level)) {
-                std::fprintf(stderr, "bad check level '%s'\n",
-                             text.c_str());
-                return 2;
-            }
-            cfg.checkLevel = static_cast<unsigned>(level);
-        } else if (arg.rfind("--inject=", 0) == 0) {
-            std::string text = arg.substr(9);
-            double prob = 1.0;
-            const auto at = text.find('@');
-            if (at != std::string::npos) {
-                prob = std::atof(text.c_str() + at + 1);
-                text.erase(at);
-            }
-            FaultKind kind;
-            if (!parseFaultKind(text, kind) || prob < 0.0 ||
-                prob > 1.0) {
-                std::fprintf(stderr, "bad fault spec '%s'\n",
-                             arg.c_str());
-                return 2;
-            }
-            cfg.injectFault = static_cast<unsigned>(kind);
-            cfg.injectProb = prob;
         } else if (arg == "--max-cycles") {
             point.maxCycles = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--watchdog-cycles") {
-            cfg.watchdogCycles = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--timeout-sec") {
-            cfg.timeoutSec = std::atof(next());
         } else if (arg == "--checkpoint-every") {
             cfg.ckptEvery = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--checkpoint-dir") {
@@ -288,18 +288,11 @@ main(int argc, char **argv)
         return 0;
     }
 
-    cfg.protocol = point.protocol;
-    if (!seed_set)
-        point.seed = cfg.seed;
-    cfg.seed = point.seed;
-    cfg.core.txWarpLimit = concurrency ? *concurrency
-                                       : optimalConcurrency(point.bench,
-                                                            point.protocol);
-    // A metrics document without time-series is half a metrics document:
-    // default the sampler on unless the user chose an interval.
-    if (!metrics_path.empty() && !sample_interval_set &&
-        cfg.sampleInterval == 0)
-        cfg.sampleInterval = 512;
+    if (seed)
+        apply("--seed", "seed", *seed);
+    if (concurrency)
+        apply("--concurrency", "tx_warp_limit", *concurrency);
+    resolvePoint(point, !metrics_path.empty() && !sample_interval_set);
 
     // Graceful shutdown: SIGINT/SIGTERM set a flag the simulation
     // loops poll at every cycle boundary; the run then stops cleanly

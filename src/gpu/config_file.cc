@@ -28,8 +28,8 @@ trim(const std::string &text)
 // How a key's text becomes its field and, for provenance, back.
 
 /**
- * A whole number (decimal, 0x hex or 0 octal, no sign) times @p unit
- * (1024 for kilobytes) that fits its field. With @p zeroIsNever, 0
+ * A whole number (parseWholeNumber()) times @p unit (1024 for
+ * kilobytes) that fits its field. With @p zeroIsNever, 0
  * means never (unlimited, disabled): the field's largest value.
  */
 template <std::uint64_t unit, bool zeroIsNever = false>
@@ -40,13 +40,8 @@ struct Num
     parse(const std::string &text, T &field)
     {
         constexpr std::uint64_t max = std::numeric_limits<T>::max();
-        if (text.empty() ||
-            !std::isdigit(static_cast<unsigned char>(text[0])))
-            return false;
-        char *end = nullptr;
-        errno = 0;
-        const std::uint64_t value = std::strtoull(text.c_str(), &end, 0);
-        if (*end != '\0' || errno == ERANGE || value > max / unit)
+        std::uint64_t value;
+        if (!parseWholeNumber(text, value, max / unit))
             return false;
         field = static_cast<T>(zeroIsNever && !value ? max : value * unit);
         return true;
@@ -82,21 +77,11 @@ struct Named
     }
 };
 
-/** A non-negative real; validateGpuConfig() bounds it further. */
+/** A non-negative real (parseReal()); validateGpuConfig() bounds it
+ *  further. */
 struct Real
 {
-    static bool
-    parse(const std::string &text, double &field)
-    {
-        if (text.empty())
-            return false;
-        char *end = nullptr;
-        const double value = std::strtod(text.c_str(), &end);
-        if (*end != '\0' || !(value >= 0.0))
-            return false;
-        field = value;
-        return true;
-    }
+    static constexpr auto parse = parseReal;
 };
 
 /** One config key: its name, how its text sets its field and, for a
@@ -185,9 +170,37 @@ constexpr Key keys[] = {
 } // namespace
 
 bool
+parseWholeNumber(const std::string &text, std::uint64_t &value,
+                 std::uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t parsed = std::strtoull(text.c_str(), &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE || parsed > max)
+        return false;
+    value = parsed;
+    return true;
+}
+
+bool
+parseReal(const std::string &text, double &value)
+{
+    char *end = nullptr;
+    const double parsed = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !(parsed >= 0.0))
+        return false;
+    value = parsed;
+    return true;
+}
+
+bool
 forEachConfigLine(const std::string &text, std::string &error,
                   const ConfigLineFn &fn)
 {
+    // A flag value or a manifest axis token is one line without a
+    // newline; its caller, not the text, knows where it came from.
+    const bool one_line = text.find('\n') == std::string::npos;
     std::istringstream in(text);
     std::string line;
     unsigned line_no = 0;
@@ -199,7 +212,8 @@ forEachConfigLine(const std::string &text, std::string &error,
         line = trim(line);
         if (line.empty())
             continue;
-        const std::string where = "line " + std::to_string(line_no) + ": ";
+        const std::string where =
+            one_line ? "" : "line " + std::to_string(line_no) + ": ";
         const auto eq = line.find('=');
         if (eq == std::string::npos) {
             error = where + "expected 'key = value'";

@@ -27,7 +27,9 @@
 #ifndef GETM_GPU_CONFIG_FILE_HH
 #define GETM_GPU_CONFIG_FILE_HH
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,10 +39,24 @@
 namespace getm {
 
 /** Sees one `key = value` line; @p where is its "line N: " prefix for
- *  diagnostics. Returns false, with the caller's error set, to stop. */
+ *  diagnostics ("" when the text is one line without a newline).
+ *  Returns false, with the caller's error set, to stop. */
 using ConfigLineFn = std::function<bool(
     const std::string &key, const std::string &value,
     const std::string &where)>;
+
+/**
+ * Read @p text as a whole number, as every numeric config key does:
+ * decimal, 0x hex or 0 octal digits, no sign or space, at most @p max.
+ * @return false, leaving @p value alone, if it is not one.
+ */
+bool parseWholeNumber(
+    const std::string &text, std::uint64_t &value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/** Read @p text as a non-negative real, as inject_prob and timeout_sec
+ *  are read; false, leaving @p value alone, if it is not one. */
+bool parseReal(const std::string &text, double &value);
 
 /**
  * Walk @p text in config-file syntax: strip `#` comments, skip blank

@@ -1,7 +1,6 @@
 #include "sweep/manifest.hh"
 
-#include <cctype>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -35,36 +34,66 @@ splitList(const std::string &text)
     return out;
 }
 
-bool
-parseUint(const std::string &token, std::uint64_t &out)
+/** The canonical spelling of axis @p key's @p token, read back from
+ *  the @p point it was applied to; point ids and hashes use it. */
+std::string
+axisToken(const std::string &key, const std::string &token,
+          const SweepPoint &point)
 {
-    if (token.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(token.c_str(), &end, 0);
-    return end && *end == '\0';
-}
-
-bool
-parseDouble(const std::string &token, double &out)
-{
-    if (token.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(token.c_str(), &end);
-    return end && *end == '\0';
-}
-
-/** Is @p key a GpuConfig config-file key? Probe a scratch config. */
-bool
-isConfigKey(const std::string &key, const std::string &value)
-{
-    GpuConfig scratch;
-    std::string ignored;
-    return applyConfigText(key + " = " + value, scratch, ignored);
+    return key == "bench"      ? point.bench.token()
+           : key == "protocol" ? protocolName(point.protocol)
+           : key == "scale"    ? jsonNumber(point.scale)
+           : key == "seed"     ? jsonNumber(point.config.seed)
+                               : token;
 }
 
 } // namespace
+
+bool
+applyPointLine(const std::string &line, SweepPoint &point,
+               std::string &error)
+{
+    const auto apply = [&](const std::string &key, const std::string &value,
+                           const std::string &where) {
+        const auto fail = [&](const std::string &why) {
+            error = where + why;
+            return false;
+        };
+        if (key == "bench") {
+            std::string spec_error;
+            return parseWorkloadSpec(value, point.bench, spec_error) ||
+                   fail(spec_error);
+        }
+        if (key == "protocol") {
+            const auto protocol = parseProtocol(value);
+            if (!protocol)
+                return fail("unknown protocol '" + value + "'");
+            point.protocol = *protocol;
+            return true;
+        }
+        if (key == "scale") {
+            double scale;
+            if (!parseReal(value, scale) || scale == 0 || std::isinf(scale))
+                return fail("bad scale '" + value + "'");
+            point.scale = scale;
+            return true;
+        }
+        if (key == "max_cycles")
+            return parseWholeNumber(value, point.maxCycles) ||
+                   fail("bad max_cycles '" + value + "'");
+        if (key == "concurrency" && value == "opt") {
+            point.config.core.txWarpLimit = limitUnchosen;
+            return true;
+        }
+        const std::string config_key =
+            key == "concurrency" ? "tx_warp_limit" : key;
+        std::string config_error;
+        return applyConfigText(config_key + " = " + value, point.config,
+                               config_error) ||
+               fail(config_error);
+    };
+    return forEachConfigLine(line, error, apply);
+}
 
 GpuConfig
 pointBaseConfig()
@@ -80,7 +109,6 @@ resolvePoint(SweepPoint &point, bool default_sampler)
 {
     GpuConfig &cfg = point.config;
     cfg.protocol = point.protocol;
-    point.seed = cfg.seed;
     if (cfg.core.txWarpLimit == limitUnchosen)
         cfg.core.txWarpLimit =
             optimalConcurrency(point.bench, point.protocol);
@@ -109,11 +137,11 @@ SweepPoint::specHash() const
 }
 
 std::string
-SweepPoint::specHashHex() const
+hashHex(std::uint64_t hash)
 {
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(specHash()));
+                  static_cast<unsigned long long>(hash));
     return buf;
 }
 
@@ -130,10 +158,7 @@ bool
 SweepManifest::parse(const std::string &text,
                      const std::string &manifest_dir, std::string &error)
 {
-    sweepName.clear();
-    baseConfig.clear();
-    baseConfigPath.clear();
-    axes.clear();
+    *this = SweepManifest{};
 
     const auto parsed = [&](const std::string &key,
                             const std::string &value_text,
@@ -155,10 +180,12 @@ SweepManifest::parse(const std::string &text,
             return true;
         }
         if (key == "max_cycles") {
-            if (!parseUint(value_text, maxCycles)) {
-                error = at + "bad max_cycles";
+            SweepPoint scratch;
+            if (!applyPointLine(key + " = " + value_text, scratch, error)) {
+                error = at + error;
                 return false;
             }
+            maxCycles = scratch.maxCycles;
             return true;
         }
         if (key == "tx_warp_limit") {
@@ -173,59 +200,24 @@ SweepManifest::parse(const std::string &text,
             return false;
         }
 
+        // Each token must apply to a point as it will in enumerate();
+        // the axis keeps its canonical spelling.
         Axis axis;
         axis.key = key;
-        std::vector<std::string> tokens = splitList(value_text);
-        for (const std::string &token : tokens) {
-            if (key == "bench") {
-                if (token == "all") {
-                    // The paper's suite; OLTP benches are named
-                    // explicitly (workloads/registry.hh).
-                    for (const BenchId id : allBenchIds())
-                        axis.values.push_back(benchName(id));
-                    continue;
-                }
-                WorkloadSpec spec;
-                std::string spec_error;
-                if (!parseWorkloadSpec(token, spec, spec_error)) {
-                    error = at + spec_error;
-                    return false;
-                }
-                axis.values.push_back(spec.token());
-            } else if (key == "protocol") {
-                const auto protocol = parseProtocol(token);
-                if (!protocol) {
-                    error = at + "unknown protocol '" + token + "'";
-                    return false;
-                }
-                axis.values.push_back(protocolName(*protocol));
-            } else if (key == "scale") {
-                double scale;
-                if (!parseDouble(token, scale) || scale <= 0) {
-                    error = at + "bad scale '" + token + "'";
-                    return false;
-                }
-                axis.values.push_back(jsonNumber(scale));
-            } else if (key == "seed") {
-                std::uint64_t seed;
-                if (!parseUint(token, seed)) {
-                    error = at + "bad seed '" + token + "'";
-                    return false;
-                }
-                axis.values.push_back(jsonNumber(seed));
-            } else if (key == "concurrency") {
-                if (token != "opt" && !isConfigKey("tx_warp_limit", token)) {
-                    error = at + "bad concurrency '" + token + "'";
-                    return false;
-                }
-                axis.values.push_back(token);
-            } else if (isConfigKey(key, token)) {
-                axis.values.push_back(token);
-            } else {
-                error = at + "unknown key '" + key + "' (or bad value '" +
-                        token + "')";
+        for (const std::string &token : splitList(value_text)) {
+            if (key == "bench" && token == "all") {
+                // The paper's suite; OLTP benches are named explicitly
+                // (workloads/registry.hh).
+                for (const BenchId id : allBenchIds())
+                    axis.values.push_back(benchName(id));
+                continue;
+            }
+            SweepPoint scratch;
+            if (!applyPointLine(key + " = " + token, scratch, error)) {
+                error = at + error;
                 return false;
             }
+            axis.values.push_back(axisToken(key, token, scratch));
         }
         if (axis.values.empty()) {
             error = at + "axis '" + key + "' has no values";
@@ -305,6 +297,9 @@ SweepManifest::manifestHash() const
     spec += "config=" + baseConfig + "\n";
     spec += "max_cycles=" + jsonNumber(maxCycles) + "\n";
     for (const Axis &axis : axes) {
+        // Tracing writes side files only, never a byte of sweep.json.
+        if (axis.key == "trace_tx")
+            continue;
         spec += axis.key + "=";
         for (const std::string &value : axis.values)
             spec += value + ",";
@@ -335,20 +330,7 @@ SweepManifest::enumerate(std::vector<SweepPoint> &points,
         for (std::size_t a = 0; a < axes.size(); ++a) {
             const Axis &axis = axes[a];
             const std::string &value = axis.values[index[a]];
-            if (axis.key == "bench") {
-                std::string spec_error;
-                parseWorkloadSpec(value, point.bench, spec_error);
-            } else if (axis.key == "protocol") {
-                if (const auto protocol = parseProtocol(value))
-                    point.protocol = *protocol;
-            } else if (axis.key == "scale") {
-                parseDouble(value, point.scale);
-            } else if (axis.key == "concurrency") {
-                if (value != "opt")
-                    applyConfigText("tx_warp_limit = " + value,
-                                    point.config, error);
-            } else if (!applyConfigText(axis.key + " = " + value,
-                                        point.config, error)) {
+            if (!applyPointLine(axis.key + " = " + value, point, error)) {
                 error = "axis " + axis.key + ": " + error;
                 return false;
             }

@@ -25,7 +25,7 @@
  *                 `YCSB:theta=0.95` (colon-separated key=value pairs;
  *                 see workloads/registry.hh). Default HT-H
  *   protocol      axis: getm warptm warptm-el eapg fglock (def. getm)
- *   scale         axis: workload scale factors (default 0.25)
+ *   scale         axis: workload scale factors, reals > 0 (def. 0.25)
  *   seed          axis: workload/GPU seeds (default 7)
  *   concurrency   axis: tx warps/core, the `tx_warp_limit` key; `opt` =
  *                 the Table IV optimum for each (bench, protocol),
@@ -35,6 +35,9 @@
  *                 cores, llc_latency, ...) with one or more values,
  *                 except `tx_warp_limit`, which the concurrency axis
  *                 sets
+ *
+ * A manifest line and a getm-sim point flag share one grammar:
+ * applyPointLine() reads both.
  *
  * Every point gets a stable, filesystem-safe id: the bench spec token
  * and protocol joined with `+`, followed by one `key=value` token per
@@ -64,24 +67,33 @@
 
 namespace getm {
 
-/** One fully resolved simulation point of a sweep. */
+/**
+ * The config every point starts from, before config files, flags and
+ * axes: GpuConfig::gtx480() with seed 7 and no tx-warp limit chosen
+ * yet (resolvePoint() chooses one before the point runs).
+ */
+GpuConfig pointBaseConfig();
+
+/** One fully resolved simulation point of a sweep; a default point is
+ *  getm-sim's with no flags. */
 struct SweepPoint
 {
     std::string id;        ///< Stable filesystem-safe identity.
-    WorkloadSpec bench;
-    ProtocolKind protocol;
+    WorkloadSpec bench{"HT-H"};
+    ProtocolKind protocol = ProtocolKind::Getm;
     double scale = 0.25;
-    std::uint64_t seed = 7;
     std::uint64_t maxCycles = 2'000'000'000ull;
-    /** Complete GPU configuration for this point: protocol, seed and
-     *  the resolved tx-warp limit folded in (see resolvePoint()). */
-    GpuConfig config;
+    /** Complete GPU configuration for this point: protocol, seed (the
+     *  workload's too) and the resolved tx-warp limit folded in (see
+     *  resolvePoint()). */
+    GpuConfig config = pointBaseConfig();
 
     /** Resume hash over the resolved spec (see file comment). */
     std::uint64_t specHash() const;
-    /** specHash() as fixed-width hex, as stored in state files. */
-    std::string specHashHex() const;
 };
+
+/** @p hash as 16 hex digits, as state files and sweep.json store it. */
+std::string hashHex(std::uint64_t hash);
 
 /** A parsed manifest: axes in declaration order. */
 class SweepManifest
@@ -119,7 +131,8 @@ class SweepManifest
     /**
      * FNV-1a hash of the manifest's canonical axis spec. It covers the
      * `config =` value as written, not as anchored, so it does not
-     * depend on the path the manifest was loaded by.
+     * depend on the path the manifest was loaded by, and skips a
+     * `trace_tx` axis, so tracing leaves sweep.json byte-identical.
      */
     std::uint64_t manifestHash() const;
 
@@ -140,17 +153,24 @@ class SweepManifest
 };
 
 /**
- * The config every point starts from, before config files, flags and
- * axes: GpuConfig::gtx480() with seed 7 and no tx-warp limit chosen
- * yet (resolvePoint() chooses one before the point runs).
+ * Set one key of @p point from @p line, the text of one `key = value`
+ * line: a manifest axis token or a getm-sim flag. The point keys are
+ * `bench`, `protocol`, `scale` (a real > 0), `seed`, `concurrency`
+ * (`opt`, which leaves the limit to resolvePoint(), or a
+ * `tx_warp_limit` value) and `max_cycles`; whole numbers read as
+ * parseWholeNumber() reads them. `seed` is the config key of that
+ * name: it and every key that is not a point key go to
+ * applyConfigText() onto the point's config.
+ * @return false with @p error set on an unknown key or a bad value.
  */
-GpuConfig pointBaseConfig();
+bool applyPointLine(const std::string &line, SweepPoint &point,
+                    std::string &error);
 
 /**
  * Finish @p point for a run, as getm-sim and getm-sweep both do: fold
- * the protocol into its config, take the point's seed from the config,
- * give a tx-warp limit that no config text, flag or axis chose the
- * Table IV optimum for the bench and protocol, and, when
+ * the protocol into its config, give a tx-warp limit that no config
+ * text, flag or axis chose the Table IV optimum for the bench and
+ * protocol, and, when
  * @p default_sampler is set, turn a sampler that is off on at 512
  * cycles (a metrics document without time-series is half a document).
  */

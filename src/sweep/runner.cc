@@ -43,7 +43,7 @@ identityMeta(const SweepPoint &point)
     meta.bench = point.bench.token();
     meta.protocol = protocolName(point.protocol);
     meta.scale = point.scale;
-    meta.seed = point.seed;
+    meta.seed = point.config.seed;
     meta.config = configProvenance(point.config);
     return meta;
 }
@@ -88,13 +88,7 @@ writeMergedDocument(const SweepManifest &manifest,
     w.member("version", sweepSchemaVersion);
     w.key("sweep").beginObject();
     w.member("name", manifest.name());
-    {
-        char buf[17];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(
-                          manifest.manifestHash()));
-        w.member("manifest_hash", buf);
-    }
+    w.member("manifest_hash", hashHex(manifest.manifestHash()));
     w.member("num_points",
              static_cast<std::uint64_t>(points.size()));
     // Emitted only when something failed, so a clean sweep document
@@ -137,7 +131,7 @@ runPoint(const SweepPoint &point,
          const std::function<void(const Workload &)> &before_run)
 {
     GpuSystem gpu(point.config);
-    auto workload = makeWorkload(point.bench, point.scale, point.seed);
+    auto workload = makeWorkload(point.bench, point.scale, point.config.seed);
     workload->setup(gpu, point.protocol == ProtocolKind::FgLock);
     if (before_run)
         before_run(*workload);
@@ -214,6 +208,9 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
     if (!checkUniqueIds(points, error))
         return false;
     outcome.total = static_cast<unsigned>(points.size());
+    if (options.traceTx)
+        for (SweepPoint &point : points)
+            point.config.traceTx = *options.traceTx;
 
     const std::string points_dir = options.dir + "/points";
     const std::string state_dir = options.dir + "/state";
@@ -226,8 +223,13 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
         return false;
     }
 
-    const unsigned jobs =
-        options.jobs ? options.jobs : ThreadPool::defaultThreads();
+    const unsigned jobs = std::min(
+        options.jobs ? options.jobs : ThreadPool::defaultThreads(),
+        outcome.total);
+    if (options.progress)
+        std::fprintf(stderr, "getm-sweep: %s -> %s (%u worker%s)\n",
+                     manifest.name().c_str(), options.dir.c_str(), jobs,
+                     jobs == 1 ? "" : "s");
 
     std::mutex mtx; // Guards outcome counters, progress, first error.
     std::string worker_error;
@@ -260,7 +262,7 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
             points_dir + "/" + point.id + ".json";
         const std::string hash_path =
             state_dir + "/" + point.id + ".hash";
-        const std::string hash = point.specHashHex();
+        const std::string hash = hashHex(point.specHash());
 
         if (!options.force) {
             std::string stored, doc, ignored;
@@ -283,9 +285,7 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
         MetricsFailure failure;
         bool failed = false;
         try {
-            SweepPoint traced = point;
-            traced.config.traceTx = options.traceTx;
-            PointRun run = runPoint(traced);
+            PointRun run = runPoint(point);
             verified = run.meta.verified;
             ObsReport &obs = run.result.obs;
             if (obs.txTrace.enabled) {

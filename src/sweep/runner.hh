@@ -2,10 +2,10 @@
  * @file
  * The sweep runner: executes every point of a manifest on a worker
  * pool and merges the per-point metrics into one sweep document. It
- * does five things: run the points on `jobs` workers, skip finished
- * points by spec hash, isolate a failed point into a failure
- * document, stop cleanly on SIGINT/SIGTERM, and write one sorted,
- * byte-deterministic sweep.json.
+ * does five things: run the points on `jobs` workers (no more than
+ * there are points), skip finished points by spec hash, isolate a
+ * failed point into a failure document, stop cleanly on SIGINT/SIGTERM,
+ * and write one sorted, byte-deterministic sweep.json.
  *
  * Each point is one fully isolated in-process simulation (its own
  * GpuSystem, workload, and stats; the library keeps no mutable global
@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,12 +98,13 @@ struct SweepOptions
     bool progress = true;          ///< Per-point progress on stderr.
 
     /**
-     * Trace every Nth transaction of every point (0 = off). Applied
-     * after enumeration, so point ids, spec hashes, and the merged
-     * sweep.json stay byte-identical to an untraced run; each traced
-     * point additionally writes points/<id>.trace.json.
+     * When set, trace every Nth transaction of every point (0 = off)
+     * in place of the manifest's `trace_tx`. Tracing changes no point
+     * id, spec hash or byte of the merged sweep.json; each point whose
+     * resolved `trace_tx` is nonzero also writes
+     * points/<id>.trace.json.
      */
-    std::uint64_t traceTx = 0;
+    std::optional<std::uint64_t> traceTx;
 };
 
 /** One point that ended in a typed simulation failure. */

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
-#include <cstdlib>
+#include <cstdio>
 
 #include "common/json.hh"
 #include "common/log.hh"
+#include "gpu/config_file.hh"
 #include "oltp/bank.hh"
 #include "oltp/ycsb.hh"
 
@@ -99,6 +99,18 @@ findBench(const std::string &name)
     return nullptr;
 }
 
+void
+printBenchList()
+{
+    for (const BenchInfo &info : benchRegistry()) {
+        std::printf("%-6s %s\n", info.name, info.summary);
+        for (const BenchParamInfo &param : info.params)
+            std::printf("       %-10s %-12g default; range [%g, %g]: %s\n",
+                        param.key, param.def, param.min, param.max,
+                        param.help);
+    }
+}
+
 std::string
 registeredBenchNames()
 {
@@ -183,10 +195,8 @@ parseWorkloadSpec(const std::string &text, WorkloadSpec &spec,
                          : " (parameters: " + paramList(*info) + ")");
             return false;
         }
-        char *end = nullptr;
-        const double value = std::strtod(value_text.c_str(), &end);
-        if (value_text.empty() || !end || *end != '\0' ||
-            !std::isfinite(value)) {
+        double value;
+        if (!parseReal(value_text, value)) {
             error = spec.name + ": bad value '" + value_text +
                     "' for parameter '" + param->key + "'";
             return false;

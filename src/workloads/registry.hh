@@ -86,6 +86,10 @@ const std::vector<BenchInfo> &benchRegistry();
 /** Look up a family by (case-insensitive) name; null if unknown. */
 const BenchInfo *findBench(const std::string &name);
 
+/** Print every family with its parameters, defaults and ranges to
+ *  stdout: the `--list-benches` text of getm-sim and getm-sweep. */
+void printBenchList();
+
 /** Comma-separated canonical names, for error messages. */
 std::string registeredBenchNames();
 

@@ -235,6 +235,9 @@ TEST(SweepManifest, RejectsBadInput)
         {"name = x\nbench\n", "expected 'key = value'"},
         {"name = x\nbench =\n", "empty value"},
         {"name = x\nretries = 1\n", "unknown key 'retries'"},
+        {"name = x\nseed = -1\n", "bad value for 'seed'"},
+        {"name = x\nmax_cycles = -5\n", "bad max_cycles"},
+        {"name = x\nscale = abc\n", "bad scale"},
     };
     for (const auto &[text, want] : cases) {
         SweepManifest manifest;
@@ -436,6 +439,45 @@ TEST_F(SweepRunTest, MergedDocumentIsValidAndSorted)
     ASSERT_TRUE(runSweep(manifest, serial, outcome, error)) << error;
     EXPECT_EQ(readAll(serial.dir + "/sweep.json"), merged);
     std::filesystem::remove_all(serial.dir);
+}
+
+TEST(SweepRunTrace, ManifestTraceTxWritesSideFilesOnly)
+{
+    // A manifest's trace_tx reaches its point without --trace-tx, and
+    // tracing changes no byte of sweep.json.
+    const std::string point = "name = one\nbench = ATM\nscale = 0.02\n"
+                              "cores = 2\npartitions = 2\n"
+                              "warps_per_core = 4\n";
+    SweepManifest plain, traced;
+    std::string error;
+    ASSERT_TRUE(plain.parse(point, "", error)) << error;
+    ASSERT_TRUE(traced.parse(point + "trace_tx = 1\n", "", error)) << error;
+
+    SweepOptions options;
+    options.progress = false;
+    SweepOutcome outcome;
+    const auto run = [&](const SweepManifest &manifest,
+                         const std::string &tag) {
+        options.dir = scratchDir(tag);
+        EXPECT_TRUE(runSweep(manifest, options, outcome, error)) << error;
+        return options.dir;
+    };
+    const auto side_file = [](const std::string &dir) {
+        return std::filesystem::exists(dir + "/points/ATM+GETM.trace.json");
+    };
+    const std::string plain_dir = run(plain, "untraced");
+    const std::string traced_dir = run(traced, "traced");
+    EXPECT_FALSE(side_file(plain_dir));
+    EXPECT_TRUE(side_file(traced_dir));
+    EXPECT_EQ(readAll(traced_dir + "/sweep.json"),
+              readAll(plain_dir + "/sweep.json"));
+
+    // --trace-tx 0 turns the manifest's tracing off.
+    options.traceTx = 0;
+    const std::string off_dir = run(traced, "trace_off");
+    EXPECT_FALSE(side_file(off_dir));
+    for (const std::string &dir : {plain_dir, traced_dir, off_dir})
+        std::filesystem::remove_all(dir);
 }
 
 // --------------------------------------------------------------------------

@@ -16,9 +16,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/sim_error.hh"
 #include "common/stop_flag.hh"
@@ -38,21 +38,26 @@ usage(const char *argv0)
 {
     std::printf(
         "usage: %s [options]\n"
-        "  --bench SPEC        HT-H HT-M HT-L ATM CL CLto BH CC AP,\n"
-        "                      or a parameterized OLTP spec such as\n"
-        "                      YCSB:theta=0.95 or BANK:accounts=1e5\n"
-        "                      (see --list-benches)\n"
-        "  --protocol NAME     getm | warptm | warptm-el | eapg | fglock\n"
-        "  --scale F           workload scale (default 0.25; 1.0 = paper)\n"
         "  --config FILE       apply a key=value configuration file\n"
+        "point settings: each flag is the manifest line 'KEY = VALUE'\n"
+        "for the key named (docs/SWEEPS.md); it wins over --config files:\n"
+        "  --bench SPEC        key bench: HT-H HT-M HT-L ATM CL CLto BH CC\n"
+        "                      AP, or an OLTP spec such as YCSB:theta=0.95\n"
+        "                      (see --list-benches; default HT-H)\n"
+        "  --protocol NAME     key protocol: getm (default) | warptm |\n"
+        "                      warptm-el | eapg | fglock\n"
+        "  --scale F           key scale: a real > 0 (default 0.25; 1.0 =\n"
+        "                      the paper's sizes)\n"
         "  --seed N            key seed: workload seed (default: a\n"
         "                      --config file's seed, else 7)\n"
-        "  --concurrency N     key tx_warp_limit: tx warps/core (default:\n"
-        "                      a --config file's limit, else the Table IV\n"
-        "                      optimum; 0 = unlimited)\n"
+        "  --concurrency N     key concurrency: tx warps/core (the key\n"
+        "                      tx_warp_limit; 0 = unlimited) or opt, the\n"
+        "                      Table IV optimum (default: a --config\n"
+        "                      file's limit, else opt)\n"
+        "  --max-cycles N      key max_cycles: per-run simulation safety\n"
+        "                      bound (default 2000000000)\n"
         "machine settings: each flag is the config line 'KEY = VALUE' for\n"
-        "the key named, applied in command-line order with --config files\n"
-        "(--seed and --concurrency win over every file):\n"
+        "the key named, applied in command-line order with --config files:\n"
         "  --cores N           key cores: SIMT cores (default 15)\n"
         "  --partitions N      key partitions: memory partitions (def. 6)\n"
         "  --granule N         key getm_granule: GETM metadata granularity\n"
@@ -96,8 +101,6 @@ usage(const char *argv0)
         "  --metrics FILE      write the full metrics document (JSON:\n"
         "                      stats tree, abort-reason breakdown,\n"
         "                      hot-address table, sampled time-series)\n"
-        "  --max-cycles N      per-run simulation safety bound\n"
-        "                      (default 2000000000)\n"
         "  --checkpoint-every N  write a crash-safe machine snapshot\n"
         "                      every N simulated cycles (at the first\n"
         "                      visited cycle at or past each multiple\n"
@@ -122,32 +125,34 @@ usage(const char *argv0)
         argv0);
 }
 
-/** Machine-setting flags that take the next argument as the value of
- *  one config key: {flag, key}. */
-constexpr std::pair<const char *, const char *> aliases[] = {
-    {"--cores", "cores"},
-    {"--partitions", "partitions"},
-    {"--granule", "getm_granule"},
-    {"--table-entries", "getm_precise_entries"},
-    {"--rollover", "rollover_threshold"},
-    {"--sample-interval", "sample_interval"},
-    {"--hot-addrs", "hot_addrs"},
-    {"--trace-tx", "trace_tx"},
-    {"--watchdog-cycles", "watchdog_cycles"},
-    {"--timeout-sec", "timeout_sec"},
+/** Flags that take the next argument as the value of one key. A point
+ *  key's flag is applied after every --config file, so it wins over
+ *  the files; a machine key's flag in command-line order with them. */
+struct Alias
+{
+    const char *flag;
+    const char *key;
+    bool point;
 };
 
-void
-listBenches()
-{
-    for (const BenchInfo &info : benchRegistry()) {
-        std::printf("%-6s %s\n", info.name, info.summary);
-        for (const BenchParamInfo &param : info.params)
-            std::printf("       %-10s %-12g default; range [%g, %g]: %s\n",
-                        param.key, param.def, param.min, param.max,
-                        param.help);
-    }
-}
+constexpr Alias aliases[] = {
+    {"--bench", "bench", true},
+    {"--protocol", "protocol", true},
+    {"--scale", "scale", true},
+    {"--seed", "seed", true},
+    {"--concurrency", "concurrency", true},
+    {"--max-cycles", "max_cycles", true},
+    {"--cores", "cores", false},
+    {"--partitions", "partitions", false},
+    {"--granule", "getm_granule", false},
+    {"--table-entries", "getm_precise_entries", false},
+    {"--rollover", "rollover_threshold", false},
+    {"--sample-interval", "sample_interval", false},
+    {"--hot-addrs", "hot_addrs", false},
+    {"--trace-tx", "trace_tx", false},
+    {"--watchdog-cycles", "watchdog_cycles", false},
+    {"--timeout-sec", "timeout_sec", false},
+};
 
 int runSimulation(const SweepPoint &point, bool dump_stats, bool json,
                   const std::string &metrics_path);
@@ -159,27 +164,32 @@ main(int argc, char **argv)
 {
     // One point, run through the same pipeline as a sweep's points.
     SweepPoint point;
-    point.bench = WorkloadSpec{"HT-H"};
-    point.protocol = ProtocolKind::Getm;
-    point.config = pointBaseConfig();
     GpuConfig &cfg = point.config;
-    // Applied after every --config file, so they win over the files.
-    std::optional<std::string> seed, concurrency;
+    // Point flags, applied after every --config file.
+    std::vector<std::pair<const Alias *, std::string>> point_flags;
     bool dump_stats = false, disasm = false, area = false;
     bool json = false;
     std::string metrics_path;
     bool sample_interval_set = false;
 
-    // Every machine setting goes through the config-file parser as the
-    // line `key = value`; a value must not end the line early.
-    const auto apply = [&cfg](const std::string &arg, const std::string &key,
-                              const std::string &value) {
+    // Every setting goes through the manifest's parser as the line
+    // `key = value`; a value must not end the line early.
+    const auto apply = [&point](const std::string &arg,
+                                const std::string &key,
+                                const std::string &value) {
         std::string error;
         if (value.find_first_of("#\n") != std::string::npos)
             error = "bad value for '" + key + "'";
-        else if (applyConfigText(key + " = " + value, cfg, error))
+        else if (applyPointLine(key + " = " + value, point, error))
             return;
         std::fprintf(stderr, "%s: %s\n", arg.c_str(), error.c_str());
+        std::exit(2);
+    };
+    const auto number = [](const std::string &arg, const char *text) {
+        std::uint64_t value;
+        if (parseWholeNumber(text, value))
+            return value;
+        std::fprintf(stderr, "%s: bad value '%s'\n", arg.c_str(), text);
         std::exit(2);
     };
 
@@ -193,13 +203,15 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        std::string key;
-        for (const auto &[flag, alias_key] : aliases)
-            if (arg == flag)
-                key = alias_key;
-        if (!key.empty()) {
-            apply(arg, key, next());
-            sample_interval_set |= key == "sample_interval";
+        const Alias *alias = nullptr;
+        for (const Alias &a : aliases)
+            if (arg == a.flag)
+                alias = &a;
+        if (alias && alias->point) {
+            point_flags.emplace_back(alias, next());
+        } else if (alias) {
+            apply(arg, alias->key, next());
+            sample_interval_set |= std::string(alias->key) == "sample_interval";
         } else if (arg == "--max-registers") {
             apply(arg, "getm_max_registers", "1");
         } else if (arg == "--check" || arg.rfind("--check=", 0) == 0) {
@@ -210,25 +222,6 @@ main(int argc, char **argv)
             apply(arg, "inject", spec.substr(0, at));
             apply(arg, "inject_prob",
                   at == std::string::npos ? "1" : spec.substr(at + 1));
-        } else if (arg == "--bench") {
-            std::string spec_error;
-            if (!parseWorkloadSpec(next(), point.bench, spec_error)) {
-                std::fprintf(stderr, "%s\n", spec_error.c_str());
-                return 2;
-            }
-        } else if (arg == "--protocol") {
-            auto parsed = parseProtocol(next());
-            if (!parsed) {
-                std::fprintf(stderr, "unknown protocol\n");
-                return 2;
-            }
-            point.protocol = *parsed;
-        } else if (arg == "--scale") {
-            point.scale = std::atof(next());
-        } else if (arg == "--seed") {
-            seed = next();
-        } else if (arg == "--concurrency") {
-            concurrency = next();
         } else if (arg == "--config") {
             std::string error;
             if (!loadConfigFile(next(), cfg, error)) {
@@ -239,16 +232,14 @@ main(int argc, char **argv)
             cfg.timelinePath = next();
         } else if (arg == "--metrics") {
             metrics_path = next();
-        } else if (arg == "--max-cycles") {
-            point.maxCycles = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--checkpoint-every") {
-            cfg.ckptEvery = std::strtoull(next(), nullptr, 10);
+            cfg.ckptEvery = number(arg, next());
         } else if (arg == "--checkpoint-dir") {
             cfg.ckptDir = next();
         } else if (arg == "--restore") {
             cfg.restorePath = next();
         } else if (arg == "--ckpt-kill-at") {
-            cfg.ckptKillAt = std::strtoull(next(), nullptr, 10);
+            cfg.ckptKillAt = number(arg, next());
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--json") {
@@ -264,7 +255,7 @@ main(int argc, char **argv)
                         "fglock\n");
             return 0;
         } else if (arg == "--list-benches") {
-            listBenches();
+            printBenchList();
             return 0;
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
@@ -275,6 +266,9 @@ main(int argc, char **argv)
             return 2;
         }
     }
+
+    for (const auto &[alias, value] : point_flags)
+        apply(alias->flag, alias->key, value);
 
     if (area) {
         const OverheadReport report = tmOverheads(point.protocol, cfg);
@@ -288,10 +282,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (seed)
-        apply("--seed", "seed", *seed);
-    if (concurrency)
-        apply("--concurrency", "tx_warp_limit", *concurrency);
     resolvePoint(point, !metrics_path.empty() && !sample_interval_set);
 
     // Graceful shutdown: SIGINT/SIGTERM set a flag the simulation
@@ -305,7 +295,7 @@ main(int argc, char **argv)
         if (disasm) {
             GpuSystem gpu(cfg);
             auto workload =
-                makeWorkload(point.bench, point.scale, point.seed);
+                makeWorkload(point.bench, point.scale, cfg.seed);
             workload->setup(gpu, point.protocol == ProtocolKind::FgLock);
             std::printf("%s", workload->kernel().disassemble().c_str());
             return 0;

@@ -17,13 +17,15 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/sim_error.hh"
 #include "common/stop_flag.hh"
-#include "common/thread_pool.hh"
+#include "gpu/config_file.hh"
 #include "sweep/runner.hh"
 #include "workloads/registry.hh"
 
@@ -40,11 +42,14 @@ usage(const char *argv0)
         "  --dir DIR        working directory for per-point results and\n"
         "                   resume state (default: sweep-<name>)\n"
         "  --out FILE       merged document path (default: DIR/sweep.json)\n"
-        "  --jobs N         worker threads (default: hardware threads)\n"
+        "  --jobs N         worker threads, at most one per point\n"
+        "                   (default: hardware threads)\n"
         "  --force          rerun every point, ignoring resume state\n"
-        "  --trace-tx N     trace every Nth transaction per point and\n"
-        "                   write DIR/points/<id>.trace.json; spec\n"
-        "                   hashes and sweep.json bytes are unchanged\n"
+        "  --trace-tx N     trace every Nth transaction per point, in\n"
+        "                   place of the manifest's trace_tx (0 = off);\n"
+        "                   a traced point writes DIR/points/<id>.trace.json,\n"
+        "                   and spec hashes and sweep.json bytes are\n"
+        "                   unchanged\n"
         "  --list           print the enumerated point ids and exit\n"
         "  --list-benches   list every registered bench with its\n"
         "                   parameters, defaults and ranges\n"
@@ -99,6 +104,15 @@ main(int argc, char **argv)
     SweepOptions options;
     options.dir.clear();
     bool list = false;
+    // Whole numbers read as config keys read them; a bad one is usage.
+    const auto number = [](const std::string &arg, const char *text,
+                           std::uint64_t max) {
+        std::uint64_t value;
+        if (parseWholeNumber(text, value, max))
+            return value;
+        std::fprintf(stderr, "%s: bad value '%s'\n", arg.c_str(), text);
+        std::exit(2);
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -117,22 +131,16 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             options.outPath = next();
         } else if (arg == "--jobs") {
-            options.jobs = static_cast<unsigned>(std::atoi(next()));
+            options.jobs = static_cast<unsigned>(
+                number(arg, next(), std::numeric_limits<unsigned>::max()));
         } else if (arg == "--force") {
             options.force = true;
         } else if (arg == "--trace-tx") {
-            options.traceTx = std::strtoull(next(), nullptr, 10);
+            options.traceTx = number(arg, next(), UINT64_MAX);
         } else if (arg == "--list") {
             list = true;
         } else if (arg == "--list-benches") {
-            for (const BenchInfo &info : benchRegistry()) {
-                std::printf("%-6s %s\n", info.name, info.summary);
-                for (const BenchParamInfo &param : info.params)
-                    std::printf("       %-10s %-12g default; range "
-                                "[%g, %g]: %s\n",
-                                param.key, param.def, param.min,
-                                param.max, param.help);
-            }
+            printBenchList();
             return 0;
         } else if (arg == "--quiet") {
             options.progress = false;
@@ -166,7 +174,7 @@ main(int argc, char **argv)
             return 2;
         }
         for (const SweepPoint &point : points)
-            std::printf("%s %s\n", point.specHashHex().c_str(),
+            std::printf("%s %s\n", hashHex(point.specHash()).c_str(),
                         point.id.c_str());
         std::printf("%zu points\n", points.size());
         return 0;
@@ -174,9 +182,8 @@ main(int argc, char **argv)
 
     if (options.dir.empty())
         options.dir = "sweep-" + manifest.name();
-    const std::string out_path = options.outPath.empty()
-                                     ? options.dir + "/sweep.json"
-                                     : options.outPath;
+    if (options.outPath.empty())
+        options.outPath = options.dir + "/sweep.json";
 
     SweepOutcome outcome;
     // Graceful shutdown: SIGINT/SIGTERM set a flag every in-flight
@@ -185,14 +192,6 @@ main(int argc, char **argv)
     // rerun resumes.
     std::signal(SIGINT, [](int sig) { requestStop(sig); });
     std::signal(SIGTERM, [](int sig) { requestStop(sig); });
-
-    const unsigned jobs =
-        options.jobs ? options.jobs : ThreadPool::defaultThreads();
-    if (options.progress)
-        std::fprintf(stderr,
-                     "getm-sweep: %s -> %s (%u worker%s)\n",
-                     manifest.name().c_str(), options.dir.c_str(), jobs,
-                     jobs == 1 ? "" : "s");
 
     if (!runSweep(manifest, options, outcome, error)) {
         std::fprintf(stderr, "getm-sweep: %s\n", error.c_str());
@@ -210,6 +209,6 @@ main(int argc, char **argv)
 
     std::printf("%s: %u points (%u ran, %u resumed) -> %s\n",
                 manifest.name().c_str(), outcome.total, outcome.ran,
-                outcome.skipped, out_path.c_str());
+                outcome.skipped, options.outPath.c_str());
     return sweepStatus(outcome, options.dir);
 }

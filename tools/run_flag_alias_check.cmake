@@ -8,7 +8,8 @@
 #                --concurrency 2 does, and --concurrency wins over the
 #                file;
 #   rollover     --rollover 0 disables rollover, as the key does;
-#   bad values   a malformed flag value exits 2 (usage), not 0 or 4.
+#   bad values   a malformed flag value, point flags' included, exits 2
+#                (usage), not 0, 4 or 5.
 #
 # Expected variables:
 #   SIM_BIN - path to the getm-sim binary
@@ -105,7 +106,8 @@ endif()
 
 foreach(bad "--cores;3x" "--cores;abc" "--timeout-sec;abc"
             "--inject=leak-lock@x" "--check=bogus" "--concurrency;x"
-            "--seed;x" "--cores;4#")
+            "--seed;x" "--cores;4#" "--scale;abc" "--scale;0" "--scale;-1"
+            "--max-cycles;abc" "--max-cycles;-5" "--protocol;x")
     run_sim(bad --bench ATM --scale 0.02 ${bad})
     if(NOT bad_status EQUAL 2)
         message(FATAL_ERROR "getm-sim ${bad} exited ${bad_status}, want 2")

@@ -5,7 +5,8 @@
 # --trace-tx 1 must also produce byte-identical sweep.json (tracing is
 # observe-only and the trace lives in side files) plus one
 # points/<id>.trace.json per point. The removed sharding, merge and
-# per-point checkpoint flags must be rejected as usage errors (exit 2).
+# per-point checkpoint flags, and a malformed --jobs or --trace-tx
+# value, must be rejected as usage errors (exit 2).
 #
 # Expected variables:
 #   SWEEP_BIN - path to the getm-sweep binary
@@ -22,7 +23,8 @@ set(parallel_dir "${OUT_DIR}/sweep_check_parallel")
 set(traced_dir "${OUT_DIR}/sweep_check_traced")
 file(REMOVE_RECURSE "${serial_dir}" "${parallel_dir}" "${traced_dir}")
 
-foreach(flag "--shard;0/2" "--merge;${serial_dir}" "--checkpoint-every;100")
+foreach(flag "--shard;0/2" "--merge;${serial_dir}" "--checkpoint-every;100"
+             "--jobs;2x" "--trace-tx;x")
     execute_process(
         COMMAND "${SWEEP_BIN}" --manifest "${MANIFEST}"
                 --dir "${serial_dir}" --quiet ${flag}
@@ -34,7 +36,8 @@ foreach(flag "--shard;0/2" "--merge;${serial_dir}" "--checkpoint-every;100")
                 "got ${flag_status}")
     endif()
 endforeach()
-message(STATUS "--shard, --merge and --checkpoint-every are rejected")
+message(STATUS "--shard, --merge, --checkpoint-every and malformed "
+               "numbers are rejected")
 
 foreach(run "serial;1" "parallel;4" "traced;2;--trace-tx;1")
     list(GET run 0 label)

@@ -1,17 +1,33 @@
 #include "common/zipf.hh"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace getm {
 
 double
 ZipfianGenerator::zeta(std::uint64_t n, double theta)
 {
-    double sum = 0.0;
-    for (std::uint64_t i = 1; i <= n; i++)
-        sum += 1.0 / std::pow(double(i), theta);
-    return sum;
+    // A sweep builds many generators over one (n, theta), each an
+    // O(n) sum of pow() terms, and getm-sweep builds them on pool
+    // threads. The lock is held across the sum, so each pair is
+    // summed once per process, always in the same order.
+    static std::mutex mutex;
+    static std::map<std::pair<std::uint64_t, std::uint64_t>, double> memo;
+    const std::lock_guard<std::mutex> lock(mutex);
+    const auto [it, inserted] = memo.try_emplace(
+        {n, std::bit_cast<std::uint64_t>(theta)}, 0.0);
+    if (inserted) {
+        double sum = 0.0;
+        for (std::uint64_t i = 1; i <= n; i++)
+            sum += 1.0 / std::pow(double(i), theta);
+        it->second = sum;
+    }
+    return it->second;
 }
 
 ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)

@@ -8,6 +8,8 @@
  * precomputed once, after which each draw costs two pow() calls and no
  * rejection loop. theta = 0 degenerates to the uniform distribution;
  * theta -> 1 approaches the classic 1/rank law (theta must stay < 1).
+ * Each (n, theta) normaliser is computed once per process and shared
+ * by every generator over that pair, on any thread.
  *
  * ZipfianGenerator::next() returns a *rank*: 0 is the hottest item, 1
  * the second hottest, and so on. Real key spaces are not sorted by
@@ -51,7 +53,8 @@ class ZipfianGenerator
     std::uint64_t items() const { return n; }
     double skew() const { return theta; }
 
-    /** Generalized harmonic number sum_{i=1..n} 1/i^theta. */
+    /** Generalized harmonic number sum_{i=1..n} 1/i^theta, memoized
+     *  per (n, bit pattern of theta); thread-safe. */
     static double zeta(std::uint64_t n, double theta);
 
   private:

@@ -1,5 +1,7 @@
 #include "oltp/ycsb.hh"
 
+#include <algorithm>
+
 #include "common/rng.hh"
 #include "workloads/lock_utils.hh"
 
@@ -49,15 +51,19 @@ YcsbWorkload::YcsbWorkload(const YcsbParams &params_, double scale,
                 op.kind = OpRmw;
                 op.amount =
                     static_cast<std::uint32_t>(rng.range(1, 100));
-                expectedDelta[op.key] += op.amount;
             } else {
                 op.kind = OpWrite;
                 op.amount = static_cast<std::uint32_t>(t + 1);
-                writers[op.key].insert(op.amount);
             }
+            if (op.kind != OpRead)
+                byKey.push_back(static_cast<std::uint32_t>(ops.size()));
             ops.push_back(op);
         }
     }
+    std::stable_sort(byKey.begin(), byKey.end(),
+                     [this](std::uint32_t a, std::uint32_t b) {
+                         return ops[a].key < ops[b].key;
+                     });
 }
 
 void
@@ -161,17 +167,26 @@ YcsbWorkload::setup(GpuSystem &gpu, bool lock_variant)
 bool
 YcsbWorkload::verify(GpuSystem &gpu, std::string &why) const
 {
+    // One ordered pass over the keys, merged with the key-sorted table
+    // of RMWs and writes: each key's ops are the next run of byKey.
+    auto next = byKey.begin();
     for (std::uint64_t k = 0; k < keys; ++k) {
         const std::uint32_t value =
             gpu.memory().read(recordsBase + 8 * k);
         const std::uint32_t tag =
             gpu.memory().read(recordsBase + 8 * k + 4);
-        const auto key = static_cast<std::uint32_t>(k);
 
         std::uint32_t expect = initialValue;
-        if (const auto it = expectedDelta.find(key);
-            it != expectedDelta.end())
-            expect += it->second; // uint32 wrap matches the kernel's.
+        bool written = false, by_writer = false;
+        for (; next != byKey.end() && ops[*next].key == k; ++next) {
+            const Op &op = ops[*next];
+            if (op.kind == OpRmw) {
+                expect += op.amount; // uint32 wrap matches the kernel's.
+            } else {
+                written = true;
+                by_writer |= op.amount == tag;
+            }
+        }
         if (value != expect) {
             why = "key " + std::to_string(k) + " value " +
                   std::to_string(value) + " != expected " +
@@ -179,14 +194,13 @@ YcsbWorkload::verify(GpuSystem &gpu, std::string &why) const
             return false;
         }
 
-        const auto wit = writers.find(key);
-        if (wit == writers.end()) {
+        if (!written) {
             if (tag != 0) {
                 why = "key " + std::to_string(k) +
                       " tag written by nobody: " + std::to_string(tag);
                 return false;
             }
-        } else if (!wit->second.count(tag)) {
+        } else if (!by_writer) {
             why = "key " + std::to_string(k) + " tag " +
                   std::to_string(tag) +
                   " is not one of its blind writers";

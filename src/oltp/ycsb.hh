@@ -28,8 +28,6 @@
 #ifndef GETM_OLTP_YCSB_HH
 #define GETM_OLTP_YCSB_HH
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/zipf.hh"
@@ -80,11 +78,9 @@ class YcsbWorkload : public Workload
     ScrambledZipfian zipf;
 
     std::vector<Op> ops; ///< threads * opsPerTx records, host-generated.
-    /** Exact expected value-cell delta per touched key. */
-    std::unordered_map<std::uint32_t, std::uint32_t> expectedDelta;
-    /** Admissible tag values (thread id + 1) per blind-written key. */
-    std::unordered_map<std::uint32_t,
-                       std::unordered_set<std::uint32_t>> writers;
+    /** Indices into ops of every RMW and write, sorted by key: the
+     *  table verify() merges with its ordered pass over the keys. */
+    std::vector<std::uint32_t> byKey;
 
     Addr recordsBase = 0;
     Addr locksBase = 0;

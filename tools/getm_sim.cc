@@ -223,11 +223,19 @@ main(int argc, char **argv)
             apply(arg, "inject_prob",
                   at == std::string::npos ? "1" : spec.substr(at + 1));
         } else if (arg == "--config") {
+            // A file that names sample_interval takes control of the
+            // sampler, as the flag does: loaded over two different
+            // intervals, it ends both on the same one.
+            const char *path = next();
+            GpuConfig probe = cfg;
+            ++probe.sampleInterval;
             std::string error;
-            if (!loadConfigFile(next(), cfg, error)) {
+            if (!loadConfigFile(path, cfg, error) ||
+                !loadConfigFile(path, probe, error)) {
                 std::fprintf(stderr, "config: %s\n", error.c_str());
                 return 2;
             }
+            sample_interval_set |= probe.sampleInterval == cfg.sampleInterval;
         } else if (arg == "--timeline") {
             cfg.timelinePath = next();
         } else if (arg == "--metrics") {

@@ -2,7 +2,8 @@
 """Compare the host speed of two source trees on one perfbench workload.
 
     perf_pair.py --base REF_OR_DIR [--workload paper] [--seed 9801]
-                 [--pairs 5] [--work DIR] [--out BENCH_perf.json]
+                 [--pairs 5] [--work DIR]
+                 [--out .perf_pair/BENCH_perf.json]
 
 The base is a git ref of this repository or a directory; the change
 is the working tree this script sits in. Both are copied into --work
@@ -14,12 +15,13 @@ alternating which side goes first: host speed drifts from minute to
 minute, so only runs interleaved in time compare.
 
 Each side's median and quartiles of every end-to-end metric are
-printed and written to --out. The exit status is 1 when the change's
-median wall_s is more than 1.25 times the base's (the benchmark's
-wall_s bound), or when any run reports a failed op or correct: false;
-2 when a tree cannot be copied, built or run. Counter digests that
-differ within a pair are reported but do not fail: a change to the
-model moves them on purpose.
+printed and written to --out, by default .perf_pair/BENCH_perf.json
+under the repository root, beside the default --work. The exit status
+is 1 when the change's median wall_s is more than 1.25 times the
+base's (the benchmark's wall_s bound), or when any run reports a
+failed op or correct: false; 2 when a tree cannot be copied, built or
+run. Counter digests that differ within a pair are reported but do
+not fail: a change to the model moves them on purpose.
 """
 
 import argparse
@@ -37,8 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
 BOUND = 1.25
 # Build outputs and scratch left out of a copied directory tree.
-SKIP = {".git", "build", ".bench_build", ".perf_pair", "out",
-        "BENCH_perf.json"}
+SKIP = {".git", "build", ".bench_build", ".perf_pair", "out"}
 DIGEST_RE = re.compile(r"counter digest (\S+)")
 
 
@@ -131,7 +132,8 @@ def main():
     parser.add_argument("--work", default=os.path.join(ROOT, ".perf_pair"),
                         help="scratch directory for the copies, builds "
                              "and run logs")
-    parser.add_argument("--out", default="BENCH_perf.json")
+    parser.add_argument("--out", default=os.path.join(
+        ROOT, ".perf_pair", "BENCH_perf.json"))
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -187,6 +189,7 @@ def main():
                       "digests": [r["digest"] for r in runs["change"]]},
            "change_faster_pairs": faster, "failures": failures,
            "notes": notes, "ok": not failures}
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

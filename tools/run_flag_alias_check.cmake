@@ -65,6 +65,9 @@ check_alias(rollover "rollover_threshold = 50"
             "\"rollover_threshold\":\"50\"" --rollover 50)
 check_alias(sample_interval "sample_interval = 128"
             "\"sample_interval\":\"128\"" --sample-interval 128)
+# Naming the key turns --metrics' default sampler off, from either side.
+check_alias(sample_interval_off "sample_interval = 0"
+            "\"sample_interval\":\"0\"" --sample-interval 0)
 check_alias(hot_addrs "hot_addrs = 4" "\"hot_addrs\":\"4\"" --hot-addrs 4)
 check_alias(trace_tx "trace_tx = 2" "" --trace-tx 2)
 check_alias(check "check = serial" "" --check)
